@@ -263,12 +263,77 @@ def sample(d: RiemannData, structure: WaveStructure, x: float,
     return _right_fan(xi, d)
 
 
+def _select(xi: np.ndarray, branches: list) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate an if/elif chain over an array: each branch is (condition,
+    value), condition None means "else", and the value is a constant (h, u)
+    pair or a fan function of xi.  The first matching branch wins."""
+    h = np.empty_like(xi)
+    u = np.empty_like(xi)
+    todo = np.ones(xi.shape, dtype=bool)
+    for cond, value in branches:
+        m = todo if cond is None else todo & cond
+        if callable(value):
+            h[m], u[m] = value(xi[m])
+        else:
+            h[m], u[m] = value
+        todo &= ~m
+    return h, u
+
+
 def sample_profile(d: RiemannData, structure: WaveStructure, x: np.ndarray,
                    t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sample over an array of positions."""
-    pairs = [sample(d, structure, float(xj), t) for xj in np.asarray(x, dtype=float)]
-    arr = np.array(pairs)
-    return arr[:, 0], arr[:, 1]
+    """Vectorized `sample` over an array of positions.
+
+    Follows the branches of `sample` with region masks and applies the same
+    fan formulas in the same operation order, so every value is bitwise
+    equal to the scalar result.
+    """
+    x = np.asarray(x, dtype=float)
+    left_state = (d.h_left, d.u_left)
+    right_state = (d.h_right, d.u_right)
+    if t <= 0.0:
+        return _select(x, [(x < 0.0, left_state), (None, right_state)])
+    xi = x / t
+    s = structure
+    dry = (0.0, 0.0)
+
+    def left_fan(v):
+        return _left_fan(v, d)
+
+    def right_fan(v):
+        return _right_fan(v, d)
+
+    if s.kind == DRY_EVERYWHERE:
+        return _select(xi, [(None, dry)])
+    if s.kind == SINGLE_RAREFACTION_DRY_RIGHT:
+        return _select(xi, [(xi <= s.left_head, left_state),
+                            (xi >= s.left_tail, dry),
+                            (None, left_fan)])
+    if s.kind == SINGLE_RAREFACTION_DRY_LEFT:
+        return _select(xi, [(xi >= s.right_head, right_state),
+                            (xi <= s.right_tail, dry),
+                            (None, right_fan)])
+    if s.kind == TWO_RAREFACTIONS_VACUUM:
+        return _select(xi, [(xi <= s.left_head, left_state),
+                            (xi < s.vacuum_left, left_fan),
+                            (xi <= s.vacuum_right, dry),
+                            (xi < s.right_head, right_fan),
+                            (None, right_state)])
+
+    # two-wave pattern with a star region
+    star = (s.h_star, s.u_star)
+    left = xi < s.u_star
+    branches = [(left & (xi <= s.left_head), left_state)]
+    if s.left_wave == SHOCK:
+        branches.append((left, star))
+    else:
+        branches += [(left & (xi >= s.left_tail), star), (left, left_fan)]
+    branches.append((xi >= s.right_head, right_state))
+    if s.right_wave == SHOCK:
+        branches.append((None, star))
+    else:
+        branches += [(xi <= s.right_tail, star), (None, right_fan)]
+    return _select(xi, branches)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -3,8 +3,10 @@
 Second-order Strang splitting: analytic nodal half-steps for the nonlinear
 potential (with optional complex-absorbing-potential damping inside sponge
 layers) around a Crank-Nicolson step for the linear dispersive part.  The
-dispersive system matrix is constant per step size, so it is factorized once
-and reused; an iterative MINRES path is available behind SolverConfig.
+dispersive system matrix is constant per step size, so the one for the
+regular step dt is factorized once per run and reused; the shortened step
+before an output time gets a factorization of its own that is dropped after
+that step.  An iterative MINRES path is available behind SolverConfig.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ class SolverConfig:
     dt: float
     solver: str = DIRECT
     tol: float = 1e-10
-    _operators: dict = field(default_factory=dict, repr=False)
+    _dt_operator: Optional["_DispersiveOperator"] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.g > 0.0:
@@ -65,11 +67,19 @@ class SolverConfig:
             raise ValueError(f"solver tolerance must lie in (0, 1e-6], got {self.tol}")
 
     def dispersive_operator(self, mesh: Mesh1D, tau: float) -> "_DispersiveOperator":
-        key = (id(mesh), float(tau))
-        op = self._operators.get(key)
-        if op is None:
-            op = _DispersiveOperator(mesh, self.eps, tau, self.solver, self.tol)
-            self._operators[key] = op
+        """The Crank-Nicolson operator over tau on mesh.
+
+        Only the operator for tau == dt is kept, for the last mesh it was
+        asked for; it lives as long as this config.  Any other tau (the
+        shortened step before an output time) is factorized for the caller
+        and dropped with it.
+        """
+        if tau != self.dt:
+            return _DispersiveOperator(mesh, self.eps, tau, self.solver, self.tol)
+        op = self._dt_operator
+        if op is None or op.mesh is not mesh:
+            op = self._dt_operator = _DispersiveOperator(mesh, self.eps, tau,
+                                                         self.solver, self.tol)
         return op
 
 
@@ -142,6 +152,8 @@ class _DispersiveOperator:
     """
 
     def __init__(self, mesh: Mesh1D, eps: float, tau: float, solver: str, tol: float):
+        self.mesh = mesh
+        self.tau = tau
         a = eps / tau
         c = 0.25 * eps * eps
         M = sparse.diags(mesh.mass)

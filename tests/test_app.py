@@ -121,6 +121,42 @@ def test_parse_rejects_missing_and_invalid_values():
         parse_scenario(json.dumps(doc))
     with pytest.raises(ValueError, match="JSON"):
         parse_scenario("not json at all {{{")
+    # integer keys take JSON integers only, booleans JSON booleans only:
+    # nothing is truncated or coerced
+    for section, key, value in (("discretization", "degree", 2.9),
+                                ("discretization", "degree", True),
+                                ("discretization", "degree", "3"),
+                                ("discretization", "degree", 2.0),
+                                ("discretization", "num_elements", 10.7),
+                                ("discretization", "num_elements", False),
+                                ("discretization", "dt_equals_dx", "false"),
+                                ("discretization", "dt_equals_dx", 0),
+                                ("sponge", "n_wavelengths", 16.5),
+                                ("sponge", "n_wavelengths", "16")):
+        doc = json.loads(MINIMAL_DOC)
+        doc.setdefault(section, {"omega": 3.0} if section == "sponge" else {})[key] = value
+        with pytest.raises(ValueError, match=f"{section}.{key}"):
+            parse_scenario(json.dumps(doc))
+    # a tabulated bed needs strictly increasing abscissae
+    for x in ([1.0, 0.0, -1.0], [-1.0, 0.0, 0.0]):
+        doc = json.loads(MINIMAL_DOC)
+        doc["bathymetry"] = {"kind": "tabulated", "x": x, "values": [0.0, 0.5, 0.0]}
+        with pytest.raises(ValueError, match="bathymetry.x"):
+            parse_scenario(json.dumps(doc))
+    doc = json.loads(MINIMAL_DOC)
+    doc["bathymetry"] = {"kind": "tabulated", "x": [-1.0, "0", 1.0], "values": [0.0, 0.5, 0.0]}
+    with pytest.raises(ValueError, match="bathymetry.x"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_cli_rejects_coerced_values_with_exit_code_2(tmp_path, capsys):
+    doc = json.loads(MINIMAL_DOC)
+    doc["discretization"] = {"degree": 2.9}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "discretization.degree" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sponge_boundary_requires_sponge_section():
@@ -173,6 +209,46 @@ def test_snapshot_determinism(tmp_path):
         a = open(tmp_path / "a" / name, "rb").read()
         b = open(tmp_path / "b" / name, "rb").read()
         assert a == b
+
+
+_DEFAULT_BLOCK_ROWS = app._EMIT_BLOCK_ROWS
+
+
+def _row_loop_text(columns, idx):
+    """Per-row f-string formatting: the byte reference for emit_snapshot."""
+    return "".join(",".join(f"{col[j]:.17g}" for col in columns) + "\n" for j in idx)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, _DEFAULT_BLOCK_ROWS, 10**6])
+def test_emit_snapshot_matches_row_loop_bytes(tmp_path, monkeypatch, block_rows):
+    from types import SimpleNamespace
+    from swnls.mesh import NEUMANN, build_mesh
+    monkeypatch.setattr(app, "_EMIT_BLOCK_ROWS", block_rows)
+    m = build_mesh(-3.0, 3.0, 1000, 3, NEUMANN)  # degree 3: node order is not x order
+    interior = np.abs(m.coords) <= 2.0            # sponge-style mask
+    rng = np.random.default_rng(7)
+    n = m.num_nodes
+    h, q, b, h_ref, q_ref = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+                             for _ in range(5))
+    special = [np.nan, -0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, 0.0, 0.1, 1 / 3]
+    nodes = np.flatnonzero(interior)[:len(special)]
+    for arr in (h, q, b, h_ref, q_ref):
+        arr[nodes] = special
+        special = special[1:] + special[:1]
+    psi = h.astype(complex)
+    psi.imag = q[::-1]
+    eta_ref = np.full(n, np.nan)
+    wave = SimpleNamespace(mesh=m, psi=psi)
+    hydro = SimpleNamespace(h=h, q=q)
+    refs = app.ReferenceSamples(h=h_ref, q=q_ref, eta=eta_ref)
+    path = tmp_path / "snap.csv"
+    app.emit_snapshot((wave, hydro), refs, str(path), bathymetry=b, interior=interior)
+
+    idx = np.flatnonzero(interior)[np.argsort(m.coords[interior], kind="stable")]
+    assert idx.size > _DEFAULT_BLOCK_ROWS
+    columns = (m.coords, h, h_ref, q, q_ref, psi.real, psi.imag, b, h + b, eta_ref)
+    expected = app.SNAPSHOT_HEADER + "\n" + _row_loop_text(columns, idx)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_snapshot_excludes_sponge_nodes(tmp_path):

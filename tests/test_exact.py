@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swnls.exact import (RAREFACTION, SHOCK, SINGLE_RAREFACTION_DRY_LEFT,
+from swnls.exact import (DRY_EVERYWHERE, RAREFACTION, SHOCK, SINGLE_RAREFACTION_DRY_LEFT,
                          SINGLE_RAREFACTION_DRY_RIGHT, TWO_RAREFACTIONS_VACUUM,
                          RiemannData, classify, lake_at_rest_exact, sample,
                          sample_profile, star_state, thacker_exact)
@@ -227,6 +229,58 @@ def test_sample_profile_vectorizes():
     assert h.shape == x.shape
     assert np.all(h >= 0.0)
     assert np.all(u[h == 0.0] == 0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+_depths = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+_speeds = st.floats(-8.0, 8.0)
+# one Riemann state (h_left, u_left, h_right, u_right) per structure kind
+_KIND_STATES = {
+    DRY_EVERYWHERE: (0.0, 0.0, 0.0, 0.0),
+    SINGLE_RAREFACTION_DRY_RIGHT: (1.0, 0.0, 0.0, 0.0),
+    SINGLE_RAREFACTION_DRY_LEFT: (0.0, 0.0, 1.0, 0.0),
+    TWO_RAREFACTIONS_VACUUM: (1.0, -3.0, 2.0, 3.0),
+    f"{RAREFACTION}_{RAREFACTION}": (1.0, -1.0, 1.0, 1.0),
+    f"{RAREFACTION}_{SHOCK}": (1.0, 0.0, 0.2, 0.0),
+    f"{SHOCK}_{RAREFACTION}": (0.2, 0.0, 1.0, 0.0),
+    f"{SHOCK}_{SHOCK}": (1.0, 1.0, 1.0, -1.0),
+}
+
+
+def _every_kind(test):
+    """Always try each structure kind, at t = 1 (rays hit exactly) and t = 0."""
+    for state in _KIND_STATES.values():
+        for t in (0.0, 1.0):
+            test = example(*state, 1.0, t, [0.5, -0.5])(test)
+    return test
+
+
+def test_kind_states_reach_every_structure_kind():
+    for kind, state in _KIND_STATES.items():
+        assert classify(RiemannData(*state)).kind == kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(h_left=_depths, u_left=_speeds, h_right=_depths, u_right=_speeds,
+       g=st.floats(0.5, 2.0),
+       t=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 3.0)),
+       xs=st.lists(st.floats(-20.0, 20.0), max_size=40))
+@_every_kind
+def test_sample_profile_bitwise_equals_scalar_sample(h_left, u_left, h_right, u_right,
+                                                     g, t, xs):
+    d = RiemannData(h_left, u_left, h_right, u_right, g)
+    s = classify(d)
+    # points exactly on every head, tail, vacuum and contact ray
+    rays = [v for v in (s.left_head, s.left_tail, s.right_head, s.right_tail,
+                        s.vacuum_left, s.vacuum_right, s.u_star) if v is not None]
+    x = np.array(xs + [r * t for r in rays] + rays + [0.0, -0.0])
+    h, u = sample_profile(d, s, x, t)
+    ref = np.array([sample(d, s, float(xj), t) for xj in x], dtype=float).reshape(-1, 2)
+    assert np.array_equal(_bits(h), _bits(ref[:, 0]))
+    assert np.array_equal(_bits(u), _bits(ref[:, 1]))
 
 
 # --- Thacker oscillating lake -----------------------------------------------------
