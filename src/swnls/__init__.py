@@ -8,7 +8,7 @@ benchmarks serve as references.
 
 from .diagnostics import EnergyReport, ErrorReport, convergence_order, energy, error_norm
 from .exact import RiemannData, WaveStructure, classify, lake_at_rest_exact, sample, star_state, thacker_exact
-from .madelung import HydroState, InitParams, WaveField, init_riemann, init_softplus_surface, recover
+from .madelung import HydroState, WaveField, init_riemann, init_softplus_surface, recover
 from .mesh import GaussLobattoRule, Mesh1D, build_mesh, discrete_inner_product, gauss_lobatto
 from .nls import RunResult, SolverConfig, SpongeProfile, build_sponge, dispersive_step, potential_half_step, run, sponge_params, strang_step
 
@@ -18,7 +18,7 @@ __all__ = [
     "EnergyReport", "ErrorReport", "convergence_order", "energy", "error_norm",
     "RiemannData", "WaveStructure", "classify", "lake_at_rest_exact", "sample",
     "star_state", "thacker_exact",
-    "HydroState", "InitParams", "WaveField", "init_riemann",
+    "HydroState", "WaveField", "init_riemann",
     "init_softplus_surface", "recover",
     "GaussLobattoRule", "Mesh1D", "build_mesh", "discrete_inner_product",
     "gauss_lobatto",

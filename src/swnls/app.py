@@ -2,9 +2,11 @@
 snapshot/diagnostics CSV emission and the convergence-sweep driver.
 
 Scenario files are JSON documents with sections physics, init, bathymetry,
-domain, sponge, discretization and output; ``parse_scenario`` validates them
-strictly (unknown keys rejected) and ``serialize_scenario`` round-trips every
-scenario exactly.
+domain, sponge, discretization and output.  Their schema is the ``Scenario``
+dataclass and its spec dataclasses: ``parse_scenario`` reads each section
+from its dataclass's fields (unknown keys rejected, keys without a default
+required) and ``serialize_scenario`` writes them back, so every scenario
+round-trips exactly.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +39,7 @@ _EMIT_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True)
 class RiemannInitSpec:
+    recipe: ClassVar[str] = "riemann_tanh"
     h_left: float
     u_left: float
     h_right: float
@@ -46,6 +49,7 @@ class RiemannInitSpec:
 
 @dataclass(frozen=True)
 class SurfaceInitSpec:
+    recipe: ClassVar[str] = "softplus_surface"
     surface: str  # "thacker" or "constant"
     level: float = 1.0
     delta_over_eps: float = 1.2
@@ -54,20 +58,20 @@ class SurfaceInitSpec:
 @dataclass(frozen=True)
 class BathymetrySpec:
     kind: str = FLAT
-    b_max: float = 0.0
-    x: tuple = ()
+    b_max: float = 0.0  # read for gaussian_bump only
+    x: tuple = ()       # x and values: read for tabulated only
     values: tuple = ()
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    half_width: float = 2.0
-    boundary: str = BOUNDARY_NEUMANN
+    half_width: float
+    boundary: str
 
 
 @dataclass(frozen=True)
 class SpongeSpec:
-    omega: float = 0.0
+    omega: float
     n_wavelengths: int = 16
     reduction: float = 1e-6
 
@@ -76,33 +80,34 @@ class SpongeSpec:
 class DiscretizationSpec:
     degree: int = 1
     dx_over_eps: float = 0.05
-    dt_equals_dx: bool = True
     num_elements: Optional[int] = None
-    dt: Optional[float] = None
-    solver: str = nls.DIRECT
-    solver_tol: float = 1e-10
+    dt: Optional[float] = None  # None: dt = dx
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    times: tuple = (0.0,)
-    fields: tuple = ("height", "discharge")
+    times: tuple
     directory: str = "out"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Complete problem description; everything a run needs, all serializable."""
+    """Complete problem description; everything a run needs, all serializable.
 
-    name: str
+    The fields and those of the spec dataclasses are the scenario file's
+    schema: a field's type is its key's JSON type, its default makes the key
+    optional.  g and eps sit in the file's physics section.
+    """
+
+    name: str = "scenario"
     g: float
     eps: float
-    init: object  # RiemannInitSpec | SurfaceInitSpec
+    init: Union[RiemannInitSpec, SurfaceInitSpec]
     bathymetry: BathymetrySpec = BathymetrySpec()
-    domain: DomainSpec = DomainSpec()
+    domain: DomainSpec
     sponge: Optional[SpongeSpec] = None
     discretization: DiscretizationSpec = DiscretizationSpec()
-    output: OutputSpec = OutputSpec()
+    output: OutputSpec
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -120,6 +125,9 @@ class Scenario:
                 raise ValueError("sponge.omega must be nonzero")
             if not 0.0 < self.sponge.reduction < 1.0:
                 raise ValueError(f"sponge.reduction must lie in (0,1), got {self.sponge.reduction}")
+        elif self.sponge is not None:
+            raise ValueError("a sponge section is read only with domain.boundary "
+                             "sponge_neumann")
         times = self.output.times
         if len(times) == 0:
             raise ValueError("output.times must not be empty")
@@ -137,19 +145,28 @@ class Scenario:
                 raise ValueError("init.delta_over_eps must be positive")
         else:
             raise ValueError(f"unsupported init spec {type(self.init).__name__}")
-        if self.bathymetry.kind == TABULATED:
+        kind = self.bathymetry.kind
+        if kind not in (FLAT, PARABOLIC, GAUSSIAN_BUMP, TABULATED):
+            raise ValueError(f"unknown value for 'bathymetry.kind': {kind!r}")
+        if self.bathymetry.b_max != 0.0 and kind != GAUSSIAN_BUMP:
+            raise ValueError(f"'bathymetry.b_max' is read only for kind {GAUSSIAN_BUMP}, "
+                             f"not {kind}")
+        if kind == TABULATED:
             x = self.bathymetry.x
             if len(x) < 2 or len(x) != len(self.bathymetry.values):
                 raise ValueError("'bathymetry.x' and 'bathymetry.values' must be "
                                  "equal-length tables")
             if any(b <= a for a, b in zip(x, x[1:])):
                 raise ValueError(f"'bathymetry.x' must be strictly increasing: {x}")
+        else:
+            for key in ("x", "values"):
+                if getattr(self.bathymetry, key):
+                    raise ValueError(f"'bathymetry.{key}' is read only for kind "
+                                     f"{TABULATED}, not {kind}")
         if not 1 <= self.discretization.degree <= meshmod.MAX_DEGREE:
             raise ValueError(f"discretization.degree out of range: {self.discretization.degree}")
         if self.discretization.num_elements is None and not self.discretization.dx_over_eps > 0.0:
             raise ValueError("discretization.dx_over_eps must be positive")
-        if not self.discretization.dt_equals_dx and self.discretization.dt is None:
-            raise ValueError("discretization.dt required when dt_equals_dx is false")
 
     # --- derived quantities -------------------------------------------------
 
@@ -218,11 +235,9 @@ class Scenario:
 
     def initial_field(self, m: meshmod.Mesh1D) -> madelung.WaveField:
         if isinstance(self.init, RiemannInitSpec):
-            params = madelung.InitParams(recipe=madelung.RIEMANN_TANH,
-                                         h_left=self.init.h_left, u_left=self.init.u_left,
-                                         h_right=self.init.h_right, u_right=self.init.u_right,
-                                         delta=self.delta)
-            return madelung.init_riemann(m, params, self.eps)
+            return madelung.init_riemann(m, self.init.h_left, self.init.u_left,
+                                         self.init.h_right, self.init.u_right,
+                                         self.delta, self.eps)
         return madelung.init_softplus_surface(m, self.surface_values,
                                               self.bathymetry_values,
                                               self.delta, self.eps)
@@ -231,43 +246,17 @@ class Scenario:
         if self.domain.boundary != BOUNDARY_SPONGE:
             return None
         ell, sigma_max, _ = self.sponge_geometry()
-        return nls.build_sponge(m, self.domain.half_width, ell, sigma_max,
-                                omega=self.sponge.omega,
-                                n_wavelengths=self.sponge.n_wavelengths,
-                                reduction=self.sponge.reduction)
+        return nls.build_sponge(m, self.domain.half_width, ell, sigma_max)
 
     def solver_config(self) -> nls.SolverConfig:
-        return nls.SolverConfig(g=self.g, eps=self.eps, dt=self.dt,
-                                solver=self.discretization.solver,
-                                tol=self.discretization.solver_tol)
+        return nls.SolverConfig(g=self.g, eps=self.eps, dt=self.dt)
 
 
 # --- parsing and serialization ----------------------------------------------
 
-_SECTION_KEYS = {
-    "name": None,
-    "physics": {"g", "eps"},
-    "init": {"recipe", "h_left", "u_left", "h_right", "u_right", "delta_over_eps",
-             "surface", "level"},
-    "bathymetry": {"kind", "b_max", "x", "values"},
-    "domain": {"half_width", "boundary"},
-    "sponge": {"omega", "n_wavelengths", "reduction"},
-    "discretization": {"degree", "dx_over_eps", "dt_equals_dx", "num_elements",
-                       "dt", "solver", "solver_tol"},
-    "output": {"times", "fields", "directory"},
-}
-
-
-def _check_keys(section: str, data: dict, allowed: set):
-    for key in data:
-        if key not in allowed:
-            raise ValueError(f"unknown key '{section}.{key}' in scenario document")
-
-
-def _require(section: str, data: dict, key: str):
-    if key not in data:
-        raise ValueError(f"missing required key '{section}.{key}' in scenario document")
-    return data[key]
+_INIT_SPECS = {spec.recipe: spec for spec in (RiemannInitSpec, SurfaceInitSpec)}
+# Scenario fields that the document keeps in its physics section.
+_PHYSICS = ("g", "eps")
 
 
 def _number(section: str, key: str, value) -> float:
@@ -282,9 +271,9 @@ def _integer(section: str, key: str, value) -> int:
     return value
 
 
-def _boolean(section: str, key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"key '{section}.{key}' must be true or false, got {value!r}")
+def _string(section: str, key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"key '{section}.{key}' must be a string, got {value!r}")
     return value
 
 
@@ -294,125 +283,87 @@ def _numbers(section: str, key: str, value) -> tuple:
     return tuple(_number(section, f"{key}[]", v) for v in value)
 
 
+_CHECKS = {float: _number, int: _integer, str: _string, tuple: _numbers}
+
+
+def _object(section: str, data) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"section '{section}' must be a JSON object, got {data!r}")
+    return data
+
+
+def _read(section: str, data, spec, names=None) -> dict:
+    """Checked values for the fields of the dataclass `spec` (those in
+    `names` if given) from the JSON object `data`.
+
+    A key that names no such field is rejected, and a field without a default
+    is required.  The field's type annotation picks the check.
+    """
+    _object(section, data)
+    specs = [f for f in fields(spec) if names is None or f.name in names]
+    known = {f.name for f in specs}
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown key '{section}.{key}' in scenario document")
+    hints = get_type_hints(spec)
+    values = {}
+    for f in specs:
+        if f.name in data:
+            values[f.name] = _value(section, f.name, hints[f.name], data[f.name])
+        elif f.default is MISSING:
+            raise ValueError(f"missing required key '{section}.{f.name}' in scenario document")
+    return values
+
+
+def _value(section: str, key: str, kind, value):
+    if get_origin(kind) is Union:
+        options = get_args(kind)
+        if type(None) not in options:  # the init section, told apart by its recipe
+            return _init(key, value)
+        if value is None:
+            return None
+        (kind,) = (t for t in options if t is not type(None))
+    if is_dataclass(kind):
+        return kind(**_read(key, value, kind))
+    return _CHECKS[kind](section, key, value)
+
+
+def _init(section: str, data):
+    rest = dict(_object(section, data))
+    if "recipe" not in rest:
+        raise ValueError(f"missing required key '{section}.recipe' in scenario document")
+    recipe = rest.pop("recipe")
+    spec = _INIT_SPECS.get(recipe) if isinstance(recipe, str) else None
+    if spec is None:
+        raise ValueError(f"unknown value for '{section}.recipe': {recipe!r}")
+    return spec(**_read(section, rest, spec))
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a JSON scenario document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"scenario document is not valid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise ValueError("scenario document must be a JSON object")
-    _check_keys("<top>", doc, set(_SECTION_KEYS))
-
-    name = doc.get("name", "scenario")
-    physics = _require("<top>", doc, "physics")
-    _check_keys("physics", physics, _SECTION_KEYS["physics"])
-    g = _number("physics", "g", _require("physics", physics, "g"))
-    eps = _number("physics", "eps", _require("physics", physics, "eps"))
-
-    init_doc = _require("<top>", doc, "init")
-    _check_keys("init", init_doc, _SECTION_KEYS["init"])
-    recipe = _require("init", init_doc, "recipe")
-    delta_over_eps = _number("init", "delta_over_eps",
-                             init_doc.get("delta_over_eps", 1.2))
-    if recipe == madelung.RIEMANN_TANH:
-        init = RiemannInitSpec(
-            h_left=_number("init", "h_left", _require("init", init_doc, "h_left")),
-            u_left=_number("init", "u_left", _require("init", init_doc, "u_left")),
-            h_right=_number("init", "h_right", _require("init", init_doc, "h_right")),
-            u_right=_number("init", "u_right", _require("init", init_doc, "u_right")),
-            delta_over_eps=delta_over_eps)
-    elif recipe == madelung.SOFTPLUS_SURFACE:
-        init = SurfaceInitSpec(surface=_require("init", init_doc, "surface"),
-                               level=_number("init", "level", init_doc.get("level", 1.0)),
-                               delta_over_eps=delta_over_eps)
-    else:
-        raise ValueError(f"unknown value for 'init.recipe': {recipe!r}")
-
-    bath_doc = doc.get("bathymetry", {"kind": FLAT})
-    _check_keys("bathymetry", bath_doc, _SECTION_KEYS["bathymetry"])
-    kind = bath_doc.get("kind", FLAT)
-    if kind not in (FLAT, PARABOLIC, GAUSSIAN_BUMP, TABULATED):
-        raise ValueError(f"unknown value for 'bathymetry.kind': {kind!r}")
-    bathymetry = BathymetrySpec(kind=kind,
-                                b_max=_number("bathymetry", "b_max", bath_doc.get("b_max", 0.0)),
-                                x=_numbers("bathymetry", "x", bath_doc.get("x", [])),
-                                values=_numbers("bathymetry", "values",
-                                                bath_doc.get("values", [])))
-
-    dom_doc = _require("<top>", doc, "domain")
-    _check_keys("domain", dom_doc, _SECTION_KEYS["domain"])
-    domain = DomainSpec(half_width=_number("domain", "half_width",
-                                           _require("domain", dom_doc, "half_width")),
-                        boundary=_require("domain", dom_doc, "boundary"))
-
-    sponge = None
-    if "sponge" in doc:
-        sp_doc = doc["sponge"]
-        _check_keys("sponge", sp_doc, _SECTION_KEYS["sponge"])
-        sponge = SpongeSpec(omega=_number("sponge", "omega", _require("sponge", sp_doc, "omega")),
-                            n_wavelengths=_integer("sponge", "n_wavelengths",
-                                                   sp_doc.get("n_wavelengths", 16)),
-                            reduction=_number("sponge", "reduction", sp_doc.get("reduction", 1e-6)))
-
-    disc_doc = doc.get("discretization", {})
-    _check_keys("discretization", disc_doc, _SECTION_KEYS["discretization"])
-    ne = disc_doc.get("num_elements")
-    discretization = DiscretizationSpec(
-        degree=_integer("discretization", "degree", disc_doc.get("degree", 1)),
-        dx_over_eps=_number("discretization", "dx_over_eps", disc_doc.get("dx_over_eps", 0.05)),
-        dt_equals_dx=_boolean("discretization", "dt_equals_dx",
-                              disc_doc.get("dt_equals_dx", True)),
-        num_elements=None if ne is None else _integer("discretization", "num_elements", ne),
-        dt=None if disc_doc.get("dt") is None else _number("discretization", "dt", disc_doc["dt"]),
-        solver=disc_doc.get("solver", nls.DIRECT),
-        solver_tol=_number("discretization", "solver_tol", disc_doc.get("solver_tol", 1e-10)))
-
-    out_doc = _require("<top>", doc, "output")
-    _check_keys("output", out_doc, _SECTION_KEYS["output"])
-    output = OutputSpec(times=_numbers("output", "times", _require("output", out_doc, "times")),
-                        fields=tuple(out_doc.get("fields", ("height", "discharge"))),
-                        directory=out_doc.get("directory", "out"))
-
-    return Scenario(name=name, g=g, eps=eps, init=init, bathymetry=bathymetry,
-                    domain=domain, sponge=sponge, discretization=discretization,
-                    output=output)
+    doc = dict(_object("<top>", doc))
+    if "physics" not in doc:
+        raise ValueError("missing required key '<top>.physics' in scenario document")
+    physics = doc.pop("physics")
+    top = {f.name for f in fields(Scenario)} - set(_PHYSICS)
+    return Scenario(**_read("physics", physics, Scenario, _PHYSICS),
+                    **_read("<top>", doc, Scenario, top))
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """JSON text whose parse reproduces the scenario exactly."""
-    doc = {"name": s.name, "physics": {"g": s.g, "eps": s.eps}}
-    if isinstance(s.init, RiemannInitSpec):
-        doc["init"] = {"recipe": madelung.RIEMANN_TANH,
-                       "h_left": s.init.h_left, "u_left": s.init.u_left,
-                       "h_right": s.init.h_right, "u_right": s.init.u_right,
-                       "delta_over_eps": s.init.delta_over_eps}
-    else:
-        doc["init"] = {"recipe": madelung.SOFTPLUS_SURFACE, "surface": s.init.surface,
-                       "level": s.init.level, "delta_over_eps": s.init.delta_over_eps}
-    doc["bathymetry"] = {"kind": s.bathymetry.kind}
-    if s.bathymetry.kind == GAUSSIAN_BUMP:
-        doc["bathymetry"]["b_max"] = s.bathymetry.b_max
-    if s.bathymetry.kind == TABULATED:
-        doc["bathymetry"]["x"] = list(s.bathymetry.x)
-        doc["bathymetry"]["values"] = list(s.bathymetry.values)
-    doc["domain"] = {"half_width": s.domain.half_width, "boundary": s.domain.boundary}
-    if s.sponge is not None:
-        doc["sponge"] = {"omega": s.sponge.omega,
-                         "n_wavelengths": s.sponge.n_wavelengths,
-                         "reduction": s.sponge.reduction}
-    disc = {"degree": s.discretization.degree,
-            "dx_over_eps": s.discretization.dx_over_eps,
-            "dt_equals_dx": s.discretization.dt_equals_dx,
-            "solver": s.discretization.solver,
-            "solver_tol": s.discretization.solver_tol}
-    if s.discretization.num_elements is not None:
-        disc["num_elements"] = s.discretization.num_elements
-    if s.discretization.dt is not None:
-        disc["dt"] = s.discretization.dt
-    doc["discretization"] = disc
-    doc["output"] = {"times": list(s.output.times), "fields": list(s.output.fields),
-                     "directory": s.output.directory}
+    """JSON text whose parse reproduces the scenario exactly; keys whose
+    value is None are left out."""
+    doc = asdict(s)
+    doc["init"] = {"recipe": s.init.recipe, **doc["init"]}
+    doc = {"name": doc.pop("name"), "physics": {key: doc.pop(key) for key in _PHYSICS},
+           **doc}
+    doc = {section: ({k: v for k, v in body.items() if v is not None}
+                     if isinstance(body, dict) else body)
+           for section, body in doc.items() if body is not None}
     return json.dumps(doc, indent=2)
 
 
@@ -641,7 +592,6 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--eps", type=float, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--tfinal", type=float, default=None)
-    p_run.add_argument("--solver", choices=(nls.DIRECT, nls.ITERATIVE), default=None)
 
     p_sweep = sub.add_parser("sweep", help="eps-convergence sweep of a builtin")
     p_sweep.add_argument("scenario", help="builtin name or scenario file path")
@@ -673,10 +623,6 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             if args.tfinal is not None:
                 scenario = replace(scenario, output=replace(scenario.output,
                                                             times=(args.tfinal,)))
-            if args.solver is not None:
-                scenario = replace(scenario,
-                                   discretization=replace(scenario.discretization,
-                                                          solver=args.solver))
             out_dir = args.out or scenario.output.directory
             result = run_and_write(scenario, out_dir)
             print(f"{scenario.name}: eps={scenario.eps:g} "

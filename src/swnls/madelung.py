@@ -14,9 +14,6 @@ import numpy as np
 
 from .mesh import Mesh1D, nodal_derivative
 
-RIEMANN_TANH = "riemann_tanh"
-SOFTPLUS_SURFACE = "softplus_surface"
-
 
 @dataclass(eq=False)
 class WaveField:
@@ -48,25 +45,6 @@ class HydroState:
     time: float = 0.0
 
 
-@dataclass(eq=False)
-class InitParams:
-    """Initial-data recipe parameters.
-
-    For ``riemann_tanh`` the left/right states and the smoothing width delta
-    are used; for ``softplus_surface`` the surface and bathymetry callables
-    are used together with delta.
-    """
-
-    recipe: str
-    h_left: float = 0.0
-    u_left: float = 0.0
-    h_right: float = 0.0
-    u_right: float = 0.0
-    delta: float = 0.0
-    surface: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    bathymetry: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
 def riemann_height_profile(x: np.ndarray, h_left: float, h_right: float,
                            delta: float) -> np.ndarray:
     """Smoothed two-state height: mean plus a tanh transition of width delta."""
@@ -82,20 +60,20 @@ def riemann_phase_profile(x: np.ndarray, u_left: float, u_right: float,
             + 0.5 * (u_right - u_left) * delta * (ax / delta + np.log1p(np.exp(-2.0 * ax / delta))))
 
 
-def init_riemann(mesh: Mesh1D, p: InitParams, eps: float) -> WaveField:
-    """Wave function for smoothed Riemann data: sqrt(h0) * exp(i*phi0/eps)."""
-    if p.recipe != RIEMANN_TANH:
-        raise ValueError(f"init_riemann requires recipe {RIEMANN_TANH!r}, got {p.recipe!r}")
-    if p.h_left < 0.0 or p.h_right < 0.0:
-        raise ValueError(f"negative height in Riemann data: h_left={p.h_left}, "
-                         f"h_right={p.h_right}")
-    if not p.delta > 0.0:
-        raise ValueError(f"smoothing width delta must be positive, got {p.delta}")
+def init_riemann(mesh: Mesh1D, h_left: float, u_left: float, h_right: float,
+                 u_right: float, delta: float, eps: float) -> WaveField:
+    """Wave function for two-state Riemann data smoothed over delta:
+    sqrt(h0) * exp(i*phi0/eps)."""
+    if h_left < 0.0 or h_right < 0.0:
+        raise ValueError(f"negative height in Riemann data: h_left={h_left}, "
+                         f"h_right={h_right}")
+    if not delta > 0.0:
+        raise ValueError(f"smoothing width delta must be positive, got {delta}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = mesh.coords
-    h0 = riemann_height_profile(x, p.h_left, p.h_right, p.delta)
-    phi0 = riemann_phase_profile(x, p.u_left, p.u_right, p.delta)
+    h0 = riemann_height_profile(x, h_left, h_right, delta)
+    phi0 = riemann_phase_profile(x, u_left, u_right, delta)
     psi = np.sqrt(h0) * np.exp(1j * phi0 / eps)
     return WaveField(mesh, psi, float(eps), 0.0)
 

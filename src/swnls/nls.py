@@ -6,7 +6,8 @@ layers) around a Crank-Nicolson step for the linear dispersive part.  The
 dispersive system matrix is constant per step size, so the one for the
 regular step dt is factorized once per run and reused; the shortened step
 before an output time gets a factorization of its own that is dropped after
-that step.  An iterative MINRES path is available behind SolverConfig.
+that step.  In 1D the banded system always has a sparse LU factorization, so
+that is the only solver.
 """
 from __future__ import annotations
 
@@ -20,27 +21,14 @@ import scipy.sparse.linalg as spla
 from .madelung import WaveField, recover
 from .mesh import Mesh1D
 
-DIRECT = "direct"
-ITERATIVE = "iterative"
-
 _TIME_SNAP = 1e-12
 
 
 @dataclass(eq=False)
 class SpongeProfile:
-    """Nodal damping coefficients sigma(x) plus the parameters that sized them.
-
-    sigma vanishes on the interior |x| <= interior_half_width, ramps up with a
-    quintic smoothstep over a layer of width ell and saturates at sigma_max.
-    """
+    """Nodal damping coefficients sigma(x) of the absorbing layers (see build_sponge)."""
 
     sigma: np.ndarray
-    ell: float
-    sigma_max: float
-    omega: float
-    n_wavelengths: int
-    reduction: float
-    interior_half_width: float
 
 
 @dataclass(eq=False)
@@ -50,8 +38,6 @@ class SolverConfig:
     g: float
     eps: float
     dt: float
-    solver: str = DIRECT
-    tol: float = 1e-10
     _dt_operator: Optional["_DispersiveOperator"] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -61,10 +47,6 @@ class SolverConfig:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.solver not in (DIRECT, ITERATIVE):
-            raise ValueError(f"unknown dispersive solver kind {self.solver!r}")
-        if not 0.0 < self.tol <= 1e-6:
-            raise ValueError(f"solver tolerance must lie in (0, 1e-6], got {self.tol}")
 
     def dispersive_operator(self, mesh: Mesh1D, tau: float) -> "_DispersiveOperator":
         """The Crank-Nicolson operator over tau on mesh.
@@ -75,11 +57,10 @@ class SolverConfig:
         and dropped with it.
         """
         if tau != self.dt:
-            return _DispersiveOperator(mesh, self.eps, tau, self.solver, self.tol)
+            return _DispersiveOperator(mesh, self.eps, tau)
         op = self._dt_operator
         if op is None or op.mesh is not mesh:
-            op = self._dt_operator = _DispersiveOperator(mesh, self.eps, tau,
-                                                         self.solver, self.tol)
+            op = self._dt_operator = _DispersiveOperator(mesh, self.eps, tau)
         return op
 
 
@@ -104,11 +85,12 @@ def sponge_params(eps: float, omega: float, n_wavelengths: int,
 
 
 def build_sponge(mesh: Mesh1D, interior_half_width: float, ell: float,
-                 sigma_max: float, omega: float = 0.0, n_wavelengths: int = 0,
-                 reduction: float = 1e-6) -> SpongeProfile:
-    """Nodal quintic-smoothstep damping profile on the mesh.
+                 sigma_max: float) -> SpongeProfile:
+    """Nodal damping profile on the mesh.
 
-    The mesh must cover [-(L+ell), L+ell]; meshes padded slightly beyond
+    sigma vanishes on the interior |x| <= L = interior_half_width, ramps up
+    with a quintic smoothstep over a layer of width ell and saturates at
+    sigma_max.  The mesh must cover [-(L+ell), L+ell]; meshes padded slightly beyond
     (e.g. to a whole number of elements) keep sigma = sigma_max there.
     """
     L = float(interior_half_width)
@@ -121,9 +103,7 @@ def build_sponge(mesh: Mesh1D, interior_half_width: float, ell: float,
     s = np.clip((np.abs(mesh.coords) - L) / ell, 0.0, 1.0)
     sigma = sigma_max * s**3 * (6.0 * s * s - 15.0 * s + 10.0)
     sigma[np.abs(mesh.coords) <= L] = 0.0
-    return SpongeProfile(sigma=sigma, ell=float(ell), sigma_max=float(sigma_max),
-                         omega=float(omega), n_wavelengths=int(n_wavelengths),
-                         reduction=float(reduction), interior_half_width=L)
+    return SpongeProfile(sigma=sigma)
 
 
 def potential_half_step(wave: WaveField, b: np.ndarray,
@@ -145,13 +125,11 @@ def potential_half_step(wave: WaveField, b: np.ndarray,
 class _DispersiveOperator:
     """Crank-Nicolson update for the linear dispersive subflow over a fixed tau.
 
-    Solves [i*(eps/tau)*M - (eps^2/4)*K] psi' = [i*(eps/tau)*M + (eps^2/4)*K] psi.
-    The direct path factorizes the (banded) system once; the iterative path
-    runs MINRES on the equivalent symmetric real block form with a
-    block-diagonal positive-definite preconditioner.
+    Solves [i*(eps/tau)*M - (eps^2/4)*K] psi' = [i*(eps/tau)*M + (eps^2/4)*K] psi
+    with the (banded) system matrix factorized once.
     """
 
-    def __init__(self, mesh: Mesh1D, eps: float, tau: float, solver: str, tol: float):
+    def __init__(self, mesh: Mesh1D, eps: float, tau: float):
         self.mesh = mesh
         self.tau = tau
         a = eps / tau
@@ -159,34 +137,10 @@ class _DispersiveOperator:
         M = sparse.diags(mesh.mass)
         K = mesh.stiffness
         self._b_mat = ((1j * a) * M + c * K).tocsr()
-        self._solver = solver
-        self._tol = tol
-        self._n = mesh.num_nodes
-        if solver == DIRECT:
-            A = ((1j * a) * M - c * K).tocsc()
-            self._solve = spla.factorized(A)
-        else:
-            self._block = sparse.bmat([[-c * K, -a * M], [-a * M, c * K]]).tocsr()
-            precond = spla.factorized((a * M + c * K).tocsc())
-            n = self._n
-
-            def apply_precond(v):
-                return np.concatenate([precond(v[:n]), precond(v[n:])])
-
-            self._precond = spla.LinearOperator((2 * n, 2 * n), matvec=apply_precond)
+        self._solve = spla.factorized(((1j * a) * M - c * K).tocsc())
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        rhs = self._b_mat @ psi
-        if self._solver == DIRECT:
-            return self._solve(rhs)
-        n = self._n
-        rhs_block = np.concatenate([rhs.real, -rhs.imag])
-        sol, info = spla.minres(self._block, rhs_block, rtol=self._tol,
-                                maxiter=50 * n, M=self._precond)
-        if info != 0:
-            raise RuntimeError(f"MINRES failed to reach rtol={self._tol} "
-                               f"(info={info}) in the dispersive step")
-        return sol[:n] + 1j * sol[n:]
+        return self._solve(self._b_mat @ psi)
 
 
 def dispersive_step(wave: WaveField, mesh: Mesh1D, cfg: SolverConfig,

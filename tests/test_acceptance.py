@@ -305,7 +305,7 @@ def test_criterion_10_sponge_absorption():
     layers = math.ceil(ell / dx - 1e-9)
     mesh = build_mesh(-(L + layers * dx), L + layers * dx,
                       round(2 * L / dx) + 2 * layers, 1, NEUMANN)
-    sponge = nls.build_sponge(mesh, L, ell, sigma_max, omega=omega, n_wavelengths=16)
+    sponge = nls.build_sponge(mesh, L, ell, sigma_max)
     x = mesh.coords
     psi0 = np.exp(-x**2 / (2 * 0.15**2)) * np.exp(1j * omega * x / eps)
     w = WaveField(mesh, psi0, eps)

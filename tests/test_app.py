@@ -2,15 +2,21 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from swnls import app, nls
+from swnls import app
 from swnls.app import (BOUNDARY_NEUMANN, BOUNDARY_PERIODIC, BOUNDARY_SPONGE,
-                       RiemannInitSpec, SurfaceInitSpec, builtin_names,
-                       builtin_scenario, cli_main, parse_scenario,
+                       BathymetrySpec, DiscretizationSpec, DomainSpec, OutputSpec,
+                       RiemannInitSpec, Scenario, SpongeSpec, SurfaceInitSpec,
+                       builtin_names, builtin_scenario, cli_main, parse_scenario,
                        reference_samples, run_and_write, serialize_scenario)
+from swnls.mesh import MAX_DEGREE
 
 MINIMAL_DOC = """
 {
@@ -82,7 +88,6 @@ def test_parse_applies_defaults():
     assert sc.init.delta_over_eps == 1.2
     assert sc.discretization.degree == 1
     assert sc.discretization.dx_over_eps == 0.05
-    assert sc.discretization.dt_equals_dx is True
     assert sc.bathymetry.kind == "flat"
     assert sc.delta == pytest.approx(1.2 * 0.05)
 
@@ -121,18 +126,21 @@ def test_parse_rejects_missing_and_invalid_values():
         parse_scenario(json.dumps(doc))
     with pytest.raises(ValueError, match="JSON"):
         parse_scenario("not json at all {{{")
-    # integer keys take JSON integers only, booleans JSON booleans only:
-    # nothing is truncated or coerced
+    # integer keys take JSON integers only: nothing is truncated or coerced
     for section, key, value in (("discretization", "degree", 2.9),
                                 ("discretization", "degree", True),
                                 ("discretization", "degree", "3"),
                                 ("discretization", "degree", 2.0),
                                 ("discretization", "num_elements", 10.7),
                                 ("discretization", "num_elements", False),
-                                ("discretization", "dt_equals_dx", "false"),
-                                ("discretization", "dt_equals_dx", 0),
                                 ("sponge", "n_wavelengths", 16.5),
-                                ("sponge", "n_wavelengths", "16")):
+                                ("sponge", "n_wavelengths", "16"),
+                                # values the run would ignore are refused
+                                ("init", "level", 1.0),
+                                ("bathymetry", "b_max", 0.5),
+                                ("bathymetry", "x", [0.0, 1.0]),
+                                ("bathymetry", "values", [0.0, 1.0]),
+                                ("output", "directory", 5)):
         doc = json.loads(MINIMAL_DOC)
         doc.setdefault(section, {"omega": 3.0} if section == "sponge" else {})[key] = value
         with pytest.raises(ValueError, match=f"{section}.{key}"):
@@ -147,6 +155,97 @@ def test_parse_rejects_missing_and_invalid_values():
     doc["bathymetry"] = {"kind": "tabulated", "x": [-1.0, "0", 1.0], "values": [0.0, 0.5, 0.0]}
     with pytest.raises(ValueError, match="bathymetry.x"):
         parse_scenario(json.dumps(doc))
+    doc = json.loads(MINIMAL_DOC)
+    doc["name"] = 5
+    with pytest.raises(ValueError, match="name"):
+        parse_scenario(json.dumps(doc))
+    # a sponge section is read only with a sponge_neumann boundary
+    doc = json.loads(MINIMAL_DOC)
+    doc["sponge"] = {"omega": 3.0}
+    with pytest.raises(ValueError, match="sponge"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_removed_keys_and_solver_flag_are_rejected(tmp_path, capsys):
+    for section, key, value in (("discretization", "solver", "direct"),
+                                ("discretization", "solver_tol", 1e-10),
+                                ("discretization", "dt_equals_dx", True),
+                                ("output", "fields", ["height", "discharge"])):
+        doc = json.loads(MINIMAL_DOC)
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ValueError, match=f"unknown key '{section}.{key}'"):
+            parse_scenario(json.dumps(doc))
+    assert cli_main(["run", "dam_break_dry", "--solver", "direct",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "--solver" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_scenario_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    sc = parse_scenario(example)
+    assert sc.name == "custom_dam_break"
+    assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_REAL = st.floats(min_value=-1e3, max_value=1e3)
+# a fixed alphabet (quote, backslash, non-ASCII) avoids building Hypothesis's
+# unicode tables on a first run
+_TEXT = st.text(alphabet='ab_/ "\\\u00e9', max_size=12)
+_TABLES = st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.lists(_REAL, min_size=n, max_size=n, unique=True).map(lambda v: tuple(sorted(v))),
+    st.lists(_REAL, min_size=n, max_size=n).map(tuple)))
+
+
+def _read_only_when(draw, read, values, unset):
+    """A value for a field that only some bed kinds or boundaries read.
+
+    Where it is not read it is mostly left unset, and sometimes set: the
+    Scenario constructor must refuse that.
+    """
+    if read or draw(st.integers(0, 7)) == 0:
+        return draw(values)
+    return unset
+
+
+@st.composite
+def _scenarios(draw):
+    if draw(st.booleans()):
+        init = RiemannInitSpec(draw(st.floats(0.0, 10.0)), draw(_REAL),
+                               draw(st.floats(0.0, 10.0)), draw(_REAL), draw(_POSITIVE))
+    else:
+        init = SurfaceInitSpec(draw(st.sampled_from(["thacker", "constant"])),
+                               draw(_REAL), draw(_POSITIVE))
+    kind = draw(st.sampled_from([app.FLAT, app.PARABOLIC, app.GAUSSIAN_BUMP, app.TABULATED]))
+    b_max = _read_only_when(draw, kind == app.GAUSSIAN_BUMP, _REAL, 0.0)
+    x, values = _read_only_when(draw, kind == app.TABULATED, _TABLES, ((), ()))
+    boundary = draw(st.sampled_from([BOUNDARY_NEUMANN, BOUNDARY_PERIODIC, BOUNDARY_SPONGE]))
+    sponge = _read_only_when(draw, boundary == BOUNDARY_SPONGE,
+                             st.builds(SpongeSpec, omega=_POSITIVE,
+                                       n_wavelengths=st.integers(1, 64),
+                                       reduction=st.floats(1e-12, 0.5)), None)
+    discretization = DiscretizationSpec(
+        degree=draw(st.integers(1, MAX_DEGREE)), dx_over_eps=draw(_POSITIVE),
+        num_elements=draw(st.none() | st.integers(1, 10**6)),
+        dt=draw(st.none() | _POSITIVE))
+    times = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
+    try:
+        return Scenario(name=draw(_TEXT), g=draw(_POSITIVE),
+                        eps=draw(_POSITIVE), init=init,
+                        bathymetry=BathymetrySpec(kind=kind, b_max=b_max, x=x, values=values),
+                        domain=DomainSpec(half_width=draw(_POSITIVE), boundary=boundary),
+                        sponge=sponge, discretization=discretization,
+                        output=OutputSpec(times=tuple(sorted(times)), directory=draw(_TEXT)))
+    except ValueError:
+        reject()
+
+
+@settings(deadline=None)
+@given(_scenarios())
+def test_parse_serialize_round_trip_property(sc):
+    assert parse_scenario(serialize_scenario(sc)) == sc
 
 
 def test_cli_rejects_coerced_values_with_exit_code_2(tmp_path, capsys):
@@ -157,6 +256,11 @@ def test_cli_rejects_coerced_values_with_exit_code_2(tmp_path, capsys):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "discretization.degree" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    doc = json.loads(MINIMAL_DOC)
+    doc["output"]["directory"] = 5
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path)]) == 2
+    assert "output.directory" in capsys.readouterr().err
 
 
 def test_sponge_boundary_requires_sponge_section():
@@ -321,12 +425,6 @@ def test_cli_sweep(tmp_path, capsys):
     table = (tmp_path / "sweep_out" / "error_table.csv").read_text().splitlines()
     assert table[0] == "eps,error_L1_height"
     assert len(table) == 3
-
-
-def test_cli_iterative_solver_flag(tmp_path):
-    rc = cli_main(["run", "dam_break_dry", "--eps", "0.08", "--tfinal", "0.01",
-                   "--solver", "iterative", "--out", str(tmp_path / "iter_out")])
-    assert rc == 0
 
 
 def test_plane_wave_builtin_end_to_end(tmp_path):

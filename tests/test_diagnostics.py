@@ -64,9 +64,7 @@ def test_mass_conserved_over_run_without_damping():
 def test_mass_monotone_under_damping():
     m = build_mesh(-1.0, 1.0, 100, 1, NEUMANN)
     eps = 0.05
-    sponge = SpongeProfile(sigma=np.where(np.abs(m.coords) > 0.5, 1.0, 0.0),
-                           ell=0.5, sigma_max=1.0, omega=1.0, n_wavelengths=1,
-                           reduction=1e-6, interior_half_width=0.5)
+    sponge = SpongeProfile(sigma=np.where(np.abs(m.coords) > 0.5, 1.0, 0.0))
     psi = np.exp(-m.coords**2 / 0.08) * np.exp(1j * m.coords / eps)
     w = WaveField(m, psi.astype(complex), eps)
     b = np.zeros(m.num_nodes)

@@ -2,15 +2,14 @@
 import numpy as np
 import pytest
 
-from swnls.madelung import (InitParams, WaveField, init_riemann,
+from swnls.madelung import (WaveField, init_riemann,
                             init_softplus_surface, recover,
                             riemann_phase_profile, softplus_depth)
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh
 
 
 def riemann_params(hL=1.0, uL=0.0, hR=0.0, uR=0.0, delta=0.012):
-    return InitParams(recipe="riemann_tanh", h_left=hL, u_left=uL,
-                      h_right=hR, u_right=uR, delta=delta)
+    return hL, uL, hR, uR, delta
 
 
 @pytest.fixture
@@ -19,14 +18,14 @@ def mesh():
 
 
 def test_riemann_midpoint_height(mesh):
-    w = init_riemann(mesh, riemann_params(hL=1.0, hR=0.0), eps=0.01)
+    w = init_riemann(mesh, *riemann_params(hL=1.0, hR=0.0), eps=0.01)
     j = np.argmin(np.abs(mesh.coords))
     assert mesh.coords[j] == 0.0
     assert abs(w.psi[j]) ** 2 == pytest.approx(0.5, abs=1e-14)
 
 
 def test_riemann_zero_velocity_is_real(mesh):
-    w = init_riemann(mesh, riemann_params(hL=1.0, hR=0.3), eps=0.01)
+    w = init_riemann(mesh, *riemann_params(hL=1.0, hR=0.3), eps=0.01)
     assert np.max(np.abs(w.psi.imag)) == 0.0
 
 
@@ -50,13 +49,11 @@ def test_riemann_phase_derivative_matches_tanh():
 
 def test_riemann_rejects_bad_inputs(mesh):
     with pytest.raises(ValueError):
-        init_riemann(mesh, riemann_params(hL=-0.1), eps=0.01)
+        init_riemann(mesh, *riemann_params(hL=-0.1), eps=0.01)
     with pytest.raises(ValueError):
-        init_riemann(mesh, riemann_params(delta=0.0), eps=0.01)
+        init_riemann(mesh, *riemann_params(delta=0.0), eps=0.01)
     with pytest.raises(ValueError):
-        init_riemann(mesh, riemann_params(), eps=-1.0)
-    with pytest.raises(ValueError):
-        init_riemann(mesh, InitParams(recipe="softplus_surface"), eps=0.01)
+        init_riemann(mesh, *riemann_params(), eps=-1.0)
 
 
 def test_softplus_depth_limits():
@@ -100,7 +97,7 @@ def test_recover_plane_wave_discharge():
 
 
 def test_recover_gauge_invariance(mesh):
-    w = init_riemann(mesh, riemann_params(hL=1.0, uL=0.5, hR=0.4, uR=-0.2), eps=0.02)
+    w = init_riemann(mesh, *riemann_params(hL=1.0, uL=0.5, hR=0.4, uR=-0.2), eps=0.02)
     s1 = recover(w)
     s2 = recover(w.copy_with(np.exp(1.23j) * w.psi))
     scale = np.max(np.abs(s1.q)) + np.max(s1.h)
@@ -109,7 +106,7 @@ def test_recover_gauge_invariance(mesh):
 
 
 def test_recover_conjugation_antisymmetry(mesh):
-    w = init_riemann(mesh, riemann_params(hL=1.0, uL=-3.0, hR=2.0, uR=3.0), eps=0.05)
+    w = init_riemann(mesh, *riemann_params(hL=1.0, uL=-3.0, hR=2.0, uR=3.0), eps=0.05)
     s = recover(w)
     s_conj = recover(w.copy_with(np.conj(w.psi)))
     assert np.array_equal(s_conj.q, -s.q)
@@ -122,7 +119,7 @@ def test_recover_consistency_with_init():
     errs = []
     for M in (100, 200, 400):
         m = build_mesh(-2.0, 2.0, M, 1, NEUMANN)
-        w = init_riemann(m, riemann_params(hL, uL, hR, uR, delta), eps)
+        w = init_riemann(m, *riemann_params(hL, uL, hR, uR, delta), eps)
         s = recover(w)
         h0 = 0.5 * (hL + hR) + 0.5 * (hR - hL) * np.tanh(m.coords / delta)
         assert np.max(np.abs(s.h - h0)) <= 1e-13 * np.max(h0)

@@ -134,25 +134,9 @@ def test_dispersive_step_norm_conservation(topology):
     assert abs(norm_h(m, w.psi) - n0) <= 1e-12 * n0
 
 
-def test_iterative_solver_matches_direct():
-    m = build_mesh(-1.0, 1.0, 200, 1, PERIODIC)
-    rng = np.random.default_rng(9)
-    psi = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
-    direct = dispersive_step(make_field(m, psi, 0.05), m,
-                             SolverConfig(g=1.0, eps=0.05, dt=0.002))
-    iterative = dispersive_step(make_field(m, psi, 0.05), m,
-                                SolverConfig(g=1.0, eps=0.05, dt=0.002,
-                                             solver="iterative", tol=1e-12))
-    assert np.max(np.abs(direct.psi - iterative.psi)) <= 1e-8 * np.max(np.abs(psi))
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(g=1.0, eps=0.1, dt=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(g=1.0, eps=0.1, dt=0.01, solver="gmres")
-    with pytest.raises(ValueError):
-        SolverConfig(g=1.0, eps=0.1, dt=0.01, tol=1e-3)  # tolerance capped at 1e-6
     with pytest.raises(ValueError):
         SolverConfig(g=-1.0, eps=0.1, dt=0.01)
 
@@ -201,9 +185,7 @@ def test_strang_mass_decays_under_global_damping():
     eps = 0.1
     cfg = SolverConfig(g=1.0, eps=eps, dt=0.01)
     # damping active everywhere: build the profile by hand
-    sponge = SpongeProfile(sigma=np.full(m.num_nodes, 0.5), ell=1.0, sigma_max=0.5,
-                           omega=1.0, n_wavelengths=1, reduction=1e-6,
-                           interior_half_width=0.0)
+    sponge = SpongeProfile(sigma=np.full(m.num_nodes, 0.5))
     w = make_field(m, np.full(m.num_nodes, 1.0), eps)
     masses = [norm_h(m, w.psi)]
     for _ in range(20):
