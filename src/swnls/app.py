@@ -125,6 +125,9 @@ class Scenario:
                 raise ValueError("sponge.omega must be nonzero")
             if not 0.0 < self.sponge.reduction < 1.0:
                 raise ValueError(f"sponge.reduction must lie in (0,1), got {self.sponge.reduction}")
+            if self.sponge.n_wavelengths < 1:
+                raise ValueError(f"sponge.n_wavelengths must be >= 1, got "
+                                 f"{self.sponge.n_wavelengths}")
         elif self.sponge is not None:
             raise ValueError("a sponge section is read only with domain.boundary "
                              "sponge_neumann")
@@ -134,8 +137,9 @@ class Scenario:
         if any(t < 0.0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
             raise ValueError(f"output.times must be nondecreasing and nonnegative: {times}")
         if isinstance(self.init, RiemannInitSpec):
-            if self.init.h_left < 0.0 or self.init.h_right < 0.0:
-                raise ValueError("init heights must be nonnegative")
+            for key, h in (("h_left", self.init.h_left), ("h_right", self.init.h_right)):
+                if h < 0.0:
+                    raise ValueError(f"init.{key} must be nonnegative, got {h}")
             if not self.init.delta_over_eps > 0.0:
                 raise ValueError("init.delta_over_eps must be positive")
         elif isinstance(self.init, SurfaceInitSpec):
@@ -167,6 +171,11 @@ class Scenario:
             raise ValueError(f"discretization.degree out of range: {self.discretization.degree}")
         if self.discretization.num_elements is None and not self.discretization.dx_over_eps > 0.0:
             raise ValueError("discretization.dx_over_eps must be positive")
+        if self.discretization.num_elements is not None and self.discretization.num_elements < 1:
+            raise ValueError(f"discretization.num_elements must be >= 1, got "
+                             f"{self.discretization.num_elements}")
+        if self.discretization.dt is not None and not self.discretization.dt > 0.0:
+            raise ValueError(f"discretization.dt must be positive, got {self.discretization.dt}")
 
     # --- derived quantities -------------------------------------------------
 
@@ -242,7 +251,7 @@ class Scenario:
                                               self.bathymetry_values,
                                               self.delta, self.eps)
 
-    def sponge_profile(self, m: meshmod.Mesh1D) -> Optional[nls.SpongeProfile]:
+    def sponge_profile(self, m: meshmod.Mesh1D) -> Optional[np.ndarray]:
         if self.domain.boundary != BOUNDARY_SPONGE:
             return None
         ell, sigma_max, _ = self.sponge_geometry()
@@ -458,14 +467,27 @@ def reference_samples(scenario: Scenario, x: np.ndarray, t: float) -> ReferenceS
     return ReferenceSamples(h=nan.copy(), q=nan.copy(), eta=nan.copy())
 
 
+def _write_csv(path: str, header: str, table: np.ndarray) -> None:
+    """Write ``header`` and one row per row of the 2-D ``table``, every value
+    as ``"%.17g"``.
+
+    Rows are formatted ``_EMIT_BLOCK_ROWS`` at a time with one ``%`` operation
+    per block; ``"%.17g" % v`` is the same text as ``f"{v:.17g}"`` for every
+    float, so the bytes do not depend on the block size.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _EMIT_BLOCK_ROWS):
+            block = table[start:start + _EMIT_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def emit_snapshot(state: tuple, refs: ReferenceSamples, path: str, *,
                   bathymetry: np.ndarray, interior: np.ndarray) -> None:
     """Write one snapshot CSV (17 significant digits, nan for missing refs).
 
     ``interior`` masks out sponge-layer nodes; rows are emitted in increasing x.
-    Rows are formatted ``_EMIT_BLOCK_ROWS`` at a time with one ``%`` operation
-    per block; ``"%.17g" % v`` is the same text as ``f"{v:.17g}"`` for every
-    float, so the bytes do not depend on the block size.
     """
     wave, hydro = state
     x = wave.mesh.coords
@@ -474,16 +496,7 @@ def emit_snapshot(state: tuple, refs: ReferenceSamples, path: str, *,
     b = np.asarray(bathymetry)
     columns = (x, hydro.h, refs.h, hydro.q, refs.q, wave.psi.real, wave.psi.imag,
                b, hydro.h + b, refs.eta)
-    table = np.column_stack([col[idx] for col in columns])
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    try:
-        with open(path, "w") as fh:
-            fh.write(SNAPSHOT_HEADER + "\n")
-            for start in range(0, len(table), _EMIT_BLOCK_ROWS):
-                block = table[start:start + _EMIT_BLOCK_ROWS]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-    except OSError as err:
-        raise RuntimeError(f"failed to write snapshot {path}: {err}") from err
+    _write_csv(path, SNAPSHOT_HEADER, np.column_stack([col[idx] for col in columns]))
 
 
 def interior_mask(scenario: Scenario, m: meshmod.Mesh1D) -> np.ndarray:
@@ -527,11 +540,9 @@ def run_and_write(scenario: Scenario, out_dir: Optional[str] = None) -> nls.RunR
         emit_snapshot((wave, hydro), refs,
                       os.path.join(out_dir, f"snapshot_{i:04d}.csv"),
                       bathymetry=result.bathymetry, interior=interior)
-    with open(os.path.join(out_dir, "diagnostics.csv"), "w") as fh:
-        fh.write(DIAGNOSTICS_HEADER + "\n")
-        for t, rep in zip(scenario.output.times, result.energies):
-            fh.write(f"{t:.17g},{rep.mass:.17g},{rep.total:.17g},"
-                     f"{rep.fisher:.17g},{rep.potential:.17g}\n")
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTICS_HEADER,
+               np.array([(t, rep.mass, rep.total, rep.fisher, rep.potential)
+                         for t, rep in zip(scenario.output.times, result.energies)]))
     return result
 
 
@@ -562,10 +573,8 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
     order = diagnostics.convergence_order(rows)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "error_table.csv"), "w") as fh:
-            fh.write(f"eps,error_{norm}_{field_name}\n")
-            for eps, val in rows:
-                fh.write(f"{eps:.17g},{val:.17g}\n")
+        _write_csv(os.path.join(out_dir, "error_table.csv"),
+                   f"eps,error_{norm}_{field_name}", np.array(rows))
     print(f"fitted convergence order: {order:.3f}")
     return rows, order
 
@@ -640,7 +649,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         sweep(scenario, eps_list, norm=args.norm, field_name=args.field,
               out_dir=args.out)
         return 0
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

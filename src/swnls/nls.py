@@ -18,17 +18,11 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from . import diagnostics
 from .madelung import WaveField, recover
 from .mesh import Mesh1D
 
 _TIME_SNAP = 1e-12
-
-
-@dataclass(eq=False)
-class SpongeProfile:
-    """Nodal damping coefficients sigma(x) of the absorbing layers (see build_sponge)."""
-
-    sigma: np.ndarray
 
 
 @dataclass(eq=False)
@@ -85,8 +79,8 @@ def sponge_params(eps: float, omega: float, n_wavelengths: int,
 
 
 def build_sponge(mesh: Mesh1D, interior_half_width: float, ell: float,
-                 sigma_max: float) -> SpongeProfile:
-    """Nodal damping profile on the mesh.
+                 sigma_max: float) -> np.ndarray:
+    """Nodal damping coefficients sigma of the absorbing layers.
 
     sigma vanishes on the interior |x| <= L = interior_half_width, ramps up
     with a quintic smoothstep over a layer of width ell and saturates at
@@ -103,22 +97,22 @@ def build_sponge(mesh: Mesh1D, interior_half_width: float, ell: float,
     s = np.clip((np.abs(mesh.coords) - L) / ell, 0.0, 1.0)
     sigma = sigma_max * s**3 * (6.0 * s * s - 15.0 * s + 10.0)
     sigma[np.abs(mesh.coords) <= L] = 0.0
-    return SpongeProfile(sigma=sigma)
+    return sigma
 
 
 def potential_half_step(wave: WaveField, b: np.ndarray,
-                        sponge: Optional[SpongeProfile], cfg: SolverConfig,
+                        sponge: Optional[np.ndarray], cfg: SolverConfig,
                         tau: float) -> WaveField:
     """Exact nodal update of the potential subflow over tau.
 
     Phase rotation by g*(|psi|^2 + b)*tau/eps using the pre-update modulus
     (constant along the subflow), times the closed-form damping factor
-    exp(-sigma*tau/eps) where a sponge is supplied.
+    exp(-sigma*tau/eps) where a sponge (the nodal sigma) is supplied.
     """
     psi = wave.psi
     phase = np.exp(-1j * (cfg.g / wave.eps) * (np.abs(psi) ** 2 + b) * tau)
     if sponge is not None:
-        phase = phase * np.exp(-sponge.sigma * tau / wave.eps)
+        phase = phase * np.exp(-sponge * tau / wave.eps)
     return wave.copy_with(phase * psi)
 
 
@@ -151,7 +145,7 @@ def dispersive_step(wave: WaveField, mesh: Mesh1D, cfg: SolverConfig,
     return wave.copy_with(op.apply(wave.psi))
 
 
-def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[SpongeProfile],
+def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray],
                 cfg: SolverConfig, tau: Optional[float] = None) -> WaveField:
     """Advance by tau (default cfg.dt): half potential, full dispersive,
     half potential."""
@@ -167,10 +161,8 @@ def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[SpongeProfile],
 class RunResult:
     """Snapshots plus per-snapshot diagnostics of a completed run."""
 
-    scenario: object
     mesh: Mesh1D
     bathymetry: np.ndarray
-    sponge: Optional[SpongeProfile]
     snapshots: list  # list of (WaveField, HydroState) at the requested times
     energies: list   # EnergyReport per snapshot
     steps_taken: int
@@ -184,8 +176,6 @@ def run(scenario) -> RunResult:
     the solver configuration.  The step before each output time is shortened
     so snapshots land exactly on the requested times.
     """
-    from .diagnostics import energy  # deferred import: diagnostics is a consumer otherwise
-
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)
     sponge = scenario.sponge_profile(mesh)
@@ -206,6 +196,6 @@ def run(scenario) -> RunResult:
                                    f"(t = {wave.time:.6g})")
         wave.time = t_out  # snap away accumulated roundoff
         snapshots.append((wave, recover(wave)))
-        energies.append(energy(wave, b, cfg.g))
-    return RunResult(scenario=scenario, mesh=mesh, bathymetry=b, sponge=sponge,
-                     snapshots=snapshots, energies=energies, steps_taken=steps)
+        energies.append(diagnostics.energy(wave, b, cfg.g))
+    return RunResult(mesh=mesh, bathymetry=b, snapshots=snapshots, energies=energies,
+                     steps_taken=steps)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,93 @@ def test_cli_rejects_coerced_values_with_exit_code_2(tmp_path, capsys):
     assert "output.directory" in capsys.readouterr().err
 
 
+_SPONGE = {"domain": {"half_width": 1.0, "boundary": "sponge_neumann"},
+           "sponge": {"omega": 3.0}}
+_SURFACE = {"init": {"recipe": "softplus_surface", "surface": "constant"}}
+
+
+@pytest.mark.parametrize("key, value, sections", [
+    ("physics.g", 0.0, {}),
+    ("domain.half_width", -1.0, {}),
+    ("domain.boundary", "reflective", {}),
+    ("sponge.omega", 0.0, _SPONGE),
+    ("sponge.reduction", 1.0, _SPONGE),
+    ("sponge.n_wavelengths", 0, _SPONGE),
+    ("output.times", [], {}),
+    ("init.h_left", -0.1, {}),
+    ("init.h_right", -0.1, {}),
+    ("init.delta_over_eps", 0.0, {}),
+    ("init.delta_over_eps", -1.0, _SURFACE),
+    ("init.surface", "wavy", _SURFACE),
+    ("bathymetry.kind", "reef", {}),
+    ("discretization.degree", 0, {}),
+    ("discretization.degree", MAX_DEGREE + 1, {}),
+    ("discretization.dx_over_eps", 0.0, {}),
+    ("discretization.num_elements", 0, {}),
+    ("discretization.dt", 0.0, {}),
+    ("discretization.dt", -0.01, {}),
+])
+def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, sections):
+    doc = json.loads(MINIMAL_DOC)
+    doc.update(json.loads(json.dumps(sections)))
+    section, name = key.split(".")
+    doc.setdefault(section, {})[name] = value
+    doc["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["empty_directory", "out_below_file", "scenario_is_directory"])
+def test_cli_file_system_errors_exit_2(tmp_path, capsys, case):
+    tiny = ["--eps", "0.08", "--tfinal", "0.05"]
+    if case == "empty_directory":
+        doc = json.loads(MINIMAL_DOC)
+        doc["output"]["directory"] = ""
+        path = tmp_path / "empty_directory.json"
+        path.write_text(json.dumps(doc))
+        argv, named = ["run", str(path)], "''"
+    elif case == "out_below_file":
+        (tmp_path / "file").write_text("")
+        named = str(tmp_path / "file" / "out")
+        argv = ["run", "dam_break_dry", *tiny, "--out", named]
+    else:
+        argv, named = ["run", str(tmp_path), *tiny], str(tmp_path)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_cli_numeric_failure_exits_1(tmp_path, monkeypatch, capsys):
+    from swnls import nls
+
+    def non_finite_step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        out.psi[0] = np.nan
+        return out
+
+    real_step = nls.strang_step
+    monkeypatch.setattr(nls, "strang_step", non_finite_step)
+    assert cli_main(["run", "dam_break_dry", "--eps", "0.08", "--tfinal", "0.05",
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "step 1 " in err
+
+
+def test_main_exits_with_cli_code(monkeypatch, capsys):
+    for argv, code in ((["list"], 0), (["run", "no_such_builtin"], 2)):
+        monkeypatch.setattr(sys, "argv", ["swnls", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            app.main()
+        assert exit_info.value.code == code
+    assert capsys.readouterr().out.splitlines() == builtin_names()
+
+
 def test_sponge_boundary_requires_sponge_section():
     doc = json.loads(MINIMAL_DOC)
     doc["domain"]["boundary"] = "sponge_neumann"
@@ -303,6 +391,11 @@ def test_run_and_write_outputs(tmp_path):
     second_line = open(os.path.join(out, "snapshot_0001.csv")).readlines()[1]
     vals = second_line.strip().split(",")
     assert float(vals[0]) == result.mesh.coords[0]
+    # diagnostics.csv: the per-row f-string text of the energy reports
+    expected = app.DIAGNOSTICS_HEADER + "\n" + "".join(
+        f"{t:.17g},{rep.mass:.17g},{rep.total:.17g},{rep.fisher:.17g},{rep.potential:.17g}\n"
+        for t, rep in zip(sc.output.times, result.energies))
+    assert open(os.path.join(out, "diagnostics.csv")).read() == expected
 
 
 def test_snapshot_determinism(tmp_path):
@@ -379,6 +472,26 @@ def test_reference_samples_nan_when_unknown(tmp_path):
     refs2 = reference_samples(sc2, np.linspace(-1, 1, 5), 2.0)
     assert not np.any(np.isnan(refs2.h))
     assert np.all(np.isnan(refs2.q))  # lake discharge reference not provided
+
+
+def test_default_error_window_for_named_scenarios():
+    wet = builtin_scenario("dam_break_wet")
+    lo, hi = app.default_error_window(wet, 0.6)
+    assert lo == -1.2
+    assert hi == pytest.approx(0.948034388654238 * 0.6 - 0.2, rel=1e-12)  # golden shock speed
+    assert app.default_error_window(builtin_scenario("vacuum_generation"), 0.3) == (-1.5, 1.5)
+    assert app.default_error_window(builtin_scenario("dam_break_dry"), 0.6) == (-2.0, 2.0)
+
+
+@pytest.mark.parametrize("name", ["lake_at_rest_wet", "lake_at_rest_dry"])
+def test_reference_samples_lake_at_rest(name):
+    sc = builtin_scenario(name)
+    x = np.linspace(-2.0, 2.0, 81)
+    b = sc.bathymetry_values(x)
+    refs = reference_samples(sc, x, 1.0)
+    np.testing.assert_array_equal(refs.h, np.maximum(1.0 - b, 0.0))
+    np.testing.assert_array_equal(refs.q, np.zeros_like(x))
+    np.testing.assert_array_equal(refs.eta, refs.h + b)
 
 
 def test_tabulated_bathymetry():

@@ -6,7 +6,7 @@ from swnls.diagnostics import (EnergyReport, convergence_order, energy,
                                error_norm, windowed_norm)
 from swnls.madelung import WaveField, recover
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, discrete_inner_product
-from swnls.nls import SolverConfig, SpongeProfile, strang_step
+from swnls.nls import SolverConfig, strang_step
 
 
 def test_energy_constant_field():
@@ -64,7 +64,7 @@ def test_mass_conserved_over_run_without_damping():
 def test_mass_monotone_under_damping():
     m = build_mesh(-1.0, 1.0, 100, 1, NEUMANN)
     eps = 0.05
-    sponge = SpongeProfile(sigma=np.where(np.abs(m.coords) > 0.5, 1.0, 0.0))
+    sponge = np.where(np.abs(m.coords) > 0.5, 1.0, 0.0)
     psi = np.exp(-m.coords**2 / 0.08) * np.exp(1j * m.coords / eps)
     w = WaveField(m, psi.astype(complex), eps)
     b = np.zeros(m.num_nodes)

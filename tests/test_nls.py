@@ -47,15 +47,15 @@ def test_sponge_params_validation():
 def test_build_sponge_profile():
     L, ell, smax = 1.0, 0.5, 2.0
     m = build_mesh(-(L + ell), L + ell, 600, 1, NEUMANN)
-    sp = build_sponge(m, L, ell, smax)
+    sigma = build_sponge(m, L, ell, smax)
     x = m.coords
-    assert np.all(sp.sigma[np.abs(x) <= L] == 0.0)
-    assert sp.sigma[np.argmin(np.abs(x - (L + ell)))] == pytest.approx(smax, rel=1e-12)
-    assert sp.sigma[np.argmin(np.abs(x - (L + 0.5 * ell)))] == pytest.approx(0.5 * smax, rel=1e-12)
+    assert np.all(sigma[np.abs(x) <= L] == 0.0)
+    assert sigma[np.argmin(np.abs(x - (L + ell)))] == pytest.approx(smax, rel=1e-12)
+    assert sigma[np.argmin(np.abs(x - (L + 0.5 * ell)))] == pytest.approx(0.5 * smax, rel=1e-12)
     # monotone nondecreasing in |x| on each side
-    right = sp.sigma[x >= 0.0][np.argsort(x[x >= 0.0])]
+    right = sigma[x >= 0.0][np.argsort(x[x >= 0.0])]
     assert np.all(np.diff(right) >= -1e-15)
-    assert np.all(sp.sigma >= 0.0)
+    assert np.all(sigma >= 0.0)
 
 
 def test_build_sponge_geometry_error():
@@ -90,12 +90,12 @@ def test_potential_step_preserves_modulus():
 def test_potential_step_cap_damping_factor():
     L, ell, smax = 0.5, 0.5, 3.0
     m = build_mesh(-(L + ell), L + ell, 100, 1, NEUMANN)
-    sp = build_sponge(m, L, ell, smax)
+    sigma = build_sponge(m, L, ell, smax)
     A, eps, tau = 0.8, 0.05, 0.01
     cfg = SolverConfig(g=1.0, eps=eps, dt=0.02)
     w = potential_half_step(make_field(m, np.full(m.num_nodes, A), eps),
-                            np.zeros(m.num_nodes), sp, cfg, tau)
-    expected = A * np.exp(-sp.sigma * tau / eps)
+                            np.zeros(m.num_nodes), sigma, cfg, tau)
+    expected = A * np.exp(-sigma * tau / eps)
     assert np.allclose(np.abs(w.psi), expected, rtol=1e-13)
 
 
@@ -179,13 +179,11 @@ def test_strang_second_order_on_plane_wave():
 
 
 def test_strang_mass_decays_under_global_damping():
-    from swnls.nls import SpongeProfile
-
     m = build_mesh(-1.0, 1.0, 50, 1, PERIODIC)
     eps = 0.1
     cfg = SolverConfig(g=1.0, eps=eps, dt=0.01)
     # damping active everywhere: build the profile by hand
-    sponge = SpongeProfile(sigma=np.full(m.num_nodes, 0.5))
+    sponge = np.full(m.num_nodes, 0.5)
     w = make_field(m, np.full(m.num_nodes, 1.0), eps)
     masses = [norm_h(m, w.psi)]
     for _ in range(20):
