@@ -58,48 +58,6 @@ class SolverConfig:
         return op
 
 
-def sponge_params(eps: float, omega: float, n_wavelengths: int,
-                  reduction: float = 1e-6) -> tuple[float, float]:
-    """Layer width and peak damping for a target one-way amplitude reduction.
-
-    ell spans n_wavelengths periods of the dominant outgoing carrier omega;
-    sigma_max is sized so a wave crossing the layer is damped by `reduction`.
-    """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if omega == 0.0:
-        raise ValueError("dominant outgoing wavenumber omega must be nonzero")
-    if n_wavelengths < 1:
-        raise ValueError(f"n_wavelengths must be >= 1, got {n_wavelengths}")
-    if not 0.0 < reduction < 1.0:
-        raise ValueError(f"reduction must lie in (0, 1), got {reduction}")
-    ell = n_wavelengths * 2.0 * np.pi * eps / abs(omega)
-    sigma_max = -(2.0 * eps * abs(omega) / ell) * np.log(reduction)
-    return float(ell), float(sigma_max)
-
-
-def build_sponge(mesh: Mesh1D, interior_half_width: float, ell: float,
-                 sigma_max: float) -> np.ndarray:
-    """Nodal damping coefficients sigma of the absorbing layers.
-
-    sigma vanishes on the interior |x| <= L = interior_half_width, ramps up
-    with a quintic smoothstep over a layer of width ell and saturates at
-    sigma_max.  The mesh must cover [-(L+ell), L+ell]; meshes padded slightly beyond
-    (e.g. to a whole number of elements) keep sigma = sigma_max there.
-    """
-    L = float(interior_half_width)
-    if not ell > 0.0:
-        raise ValueError(f"sponge width ell must be positive, got {ell}")
-    pad = 1e-9 * max(1.0, L + ell)
-    if mesh.a > -(L + ell) + pad or mesh.b < (L + ell) - pad:
-        raise ValueError(f"mesh [{mesh.a}, {mesh.b}] does not cover the sponge extent "
-                         f"[-{L + ell}, {L + ell}]")
-    s = np.clip((np.abs(mesh.coords) - L) / ell, 0.0, 1.0)
-    sigma = sigma_max * s**3 * (6.0 * s * s - 15.0 * s + 10.0)
-    sigma[np.abs(mesh.coords) <= L] = 0.0
-    return sigma
-
-
 def potential_half_step(wave: WaveField, b: np.ndarray,
                         sponge: Optional[np.ndarray], cfg: SolverConfig,
                         tau: float) -> WaveField:

@@ -299,19 +299,19 @@ def test_criterion_09_exact_oracles():
 # --- 10: sponge absorption ------------------------------------------------------------
 
 def test_criterion_10_sponge_absorption():
-    eps, omega, g, L = 0.02, 3.0, 1.0, 1.0
-    ell, sigma_max = nls.sponge_params(eps, omega, 16, 1e-6)
-    dx = 0.05 * eps
-    layers = math.ceil(ell / dx - 1e-9)
-    mesh = build_mesh(-(L + layers * dx), L + layers * dx,
-                      round(2 * L / dx) + 2 * layers, 1, NEUMANN)
-    sponge = nls.build_sponge(mesh, L, ell, sigma_max)
+    eps, omega = 0.02, 3.0
+    sc = app.Scenario(g=1.0, eps=eps, init=app.RiemannInitSpec(1.0, 0.0, 1.0, 0.0),
+                      domain=app.DomainSpec(half_width=1.0, boundary=app.BOUNDARY_SPONGE),
+                      sponge=app.SpongeSpec(omega=omega), output=app.OutputSpec(times=(1.6,)))
+    mesh = sc.build_mesh()
+    sponge = sc.sponge_profile(mesh)
     x = mesh.coords
     psi0 = np.exp(-x**2 / (2 * 0.15**2)) * np.exp(1j * omega * x / eps)
     w = WaveField(mesh, psi0, eps)
-    cfg = swnls.SolverConfig(g=g, eps=eps, dt=dx)
+    cfg = sc.solver_config()
+    dx = sc.dx
     b = np.zeros(mesh.num_nodes)
-    interior = np.abs(x) <= L
+    interior = np.abs(x) <= sc.domain.half_width
     peak0 = float(np.abs(psi0).max())
     mass_prev = discrete_inner_product(mesh, w.psi, w.psi).real
     monotone = True

@@ -132,8 +132,6 @@ def test_parse_rejects_missing_and_invalid_values():
                                 ("discretization", "degree", True),
                                 ("discretization", "degree", "3"),
                                 ("discretization", "degree", 2.0),
-                                ("discretization", "num_elements", 10.7),
-                                ("discretization", "num_elements", False),
                                 ("sponge", "n_wavelengths", 16.5),
                                 ("sponge", "n_wavelengths", "16"),
                                 # values the run would ignore are refused
@@ -171,7 +169,8 @@ def test_removed_keys_and_solver_flag_are_rejected(tmp_path, capsys):
     for section, key, value in (("discretization", "solver", "direct"),
                                 ("discretization", "solver_tol", 1e-10),
                                 ("discretization", "dt_equals_dx", True),
-                                ("output", "fields", ["height", "discharge"])):
+                                ("output", "fields", ["height", "discharge"]),
+                                ("discretization", "num_elements", 400)):
         doc = json.loads(MINIMAL_DOC)
         doc.setdefault(section, {})[key] = value
         with pytest.raises(ValueError, match=f"unknown key '{section}.{key}'"):
@@ -217,8 +216,9 @@ def _scenarios(draw):
         init = RiemannInitSpec(draw(st.floats(0.0, 10.0)), draw(_REAL),
                                draw(st.floats(0.0, 10.0)), draw(_REAL), draw(_POSITIVE))
     else:
-        init = SurfaceInitSpec(draw(st.sampled_from(["thacker", "constant"])),
-                               draw(_REAL), draw(_POSITIVE))
+        surface = draw(st.sampled_from(["thacker", "constant"]))
+        init = SurfaceInitSpec(surface, _read_only_when(draw, surface == "constant", _REAL, 1.0),
+                               draw(_POSITIVE))
     kind = draw(st.sampled_from([app.FLAT, app.PARABOLIC, app.GAUSSIAN_BUMP, app.TABULATED]))
     b_max = _read_only_when(draw, kind == app.GAUSSIAN_BUMP, _REAL, 0.0)
     x, values = _read_only_when(draw, kind == app.TABULATED, _TABLES, ((), ()))
@@ -229,7 +229,6 @@ def _scenarios(draw):
                                        reduction=st.floats(1e-12, 0.5)), None)
     discretization = DiscretizationSpec(
         degree=draw(st.integers(1, MAX_DEGREE)), dx_over_eps=draw(_POSITIVE),
-        num_elements=draw(st.none() | st.integers(1, 10**6)),
         dt=draw(st.none() | _POSITIVE))
     times = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5))
     try:
@@ -238,7 +237,8 @@ def _scenarios(draw):
                         bathymetry=BathymetrySpec(kind=kind, b_max=b_max, x=x, values=values),
                         domain=DomainSpec(half_width=draw(_POSITIVE), boundary=boundary),
                         sponge=sponge, discretization=discretization,
-                        output=OutputSpec(times=tuple(sorted(times)), directory=draw(_TEXT)))
+                        output=OutputSpec(times=tuple(sorted(times)),
+                                          directory=draw(_TEXT.filter(bool))))
     except ValueError:
         reject()
 
@@ -286,16 +286,17 @@ _SURFACE = {"init": {"recipe": "softplus_surface", "surface": "constant"}}
     ("discretization.degree", 0, {}),
     ("discretization.degree", MAX_DEGREE + 1, {}),
     ("discretization.dx_over_eps", 0.0, {}),
-    ("discretization.num_elements", 0, {}),
+    ("output.directory", "", {}),
     ("discretization.dt", 0.0, {}),
     ("discretization.dt", -0.01, {}),
+    ("init.level", 2.0, {"init": {"recipe": "softplus_surface", "surface": "thacker"}}),
 ])
 def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(json.loads(json.dumps(sections)))
+    doc["output"]["directory"] = str(tmp_path / "out")
     section, name = key.split(".")
     doc.setdefault(section, {})[name] = value
-    doc["output"]["directory"] = str(tmp_path / "out")
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path)]) == 2
@@ -305,16 +306,34 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["empty_directory", "out_below_file", "scenario_is_directory"])
+@pytest.mark.parametrize("key, argv, sections", [
+    ("output.times", ["--tfinal", "nan"], {}),
+    ("output.times", ["--tfinal", "inf"], {}),
+    ("physics.eps", ["--eps", "inf"], {}),
+    ("output.times", [], {"output": {"times": [math.nan]}}),
+    ("discretization.dt", [], {"discretization": {"dt": math.inf}}),
+    ("init.u_left", [], {"init": {"recipe": "riemann_tanh", "h_left": 1.0,
+                                  "u_left": -math.inf, "h_right": 0.5, "u_right": 0.0}}),
+    ("domain.half_width", [], {"domain": {"half_width": 10**400, "boundary": "neumann"}}),
+], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
+        "half_width_beyond_float"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
+    doc = json.loads(MINIMAL_DOC)
+    doc.update(sections)
+    doc["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity, which json.loads reads back
+    assert cli_main(["run", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["out_below_file", "scenario_is_directory"])
 def test_cli_file_system_errors_exit_2(tmp_path, capsys, case):
     tiny = ["--eps", "0.08", "--tfinal", "0.05"]
-    if case == "empty_directory":
-        doc = json.loads(MINIMAL_DOC)
-        doc["output"]["directory"] = ""
-        path = tmp_path / "empty_directory.json"
-        path.write_text(json.dumps(doc))
-        argv, named = ["run", str(path)], "''"
-    elif case == "out_below_file":
+    if case == "out_below_file":
         (tmp_path / "file").write_text("")
         named = str(tmp_path / "file" / "out")
         argv = ["run", "dam_break_dry", *tiny, "--out", named]
@@ -340,6 +359,7 @@ def test_cli_numeric_failure_exits_1(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "step 1 " in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_exits_with_cli_code(monkeypatch, capsys):
@@ -472,6 +492,19 @@ def test_reference_samples_nan_when_unknown(tmp_path):
     refs2 = reference_samples(sc2, np.linspace(-1, 1, 5), 2.0)
     assert not np.any(np.isnan(refs2.h))
     assert np.all(np.isnan(refs2.q))  # lake discharge reference not provided
+
+
+@pytest.mark.parametrize("init", [
+    {"recipe": "softplus_surface", "surface": "constant"},
+    {"recipe": "riemann_tanh", "h_left": 1.0, "u_left": 0.0, "h_right": 0.0, "u_right": 0.0},
+], ids=["surface_init", "dry_right"])
+def test_sweep_named_wet_bed_without_right_shock_uses_full_domain(tmp_path, capsys, init):
+    doc = json.loads(MINIMAL_DOC)
+    doc["name"], doc["init"] = "dam_break_wet", init
+    path = tmp_path / "dam_break_wet.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["sweep", str(path), "--eps-list", "0.08,0.04"]) == 0
+    assert capsys.readouterr().out.count("over [-1, 1] =") == 2
 
 
 def test_default_error_window_for_named_scenarios():

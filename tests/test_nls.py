@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from swnls.app import (BOUNDARY_SPONGE, DomainSpec, OutputSpec, RiemannInitSpec, Scenario,
+                       SpongeSpec)
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, discrete_inner_product
-from swnls.nls import (SolverConfig, build_sponge, dispersive_step,
-                       potential_half_step, run, sponge_params, strang_step)
+from swnls.nls import (SolverConfig, dispersive_step, potential_half_step, run,
+                       strang_step)
 
 
 def make_field(mesh, psi, eps):
@@ -17,11 +19,19 @@ def norm_h(mesh, psi):
     return discrete_inner_product(mesh, psi, psi).real
 
 
-# --- sponge sizing and profile -------------------------------------------------
+# --- sponge sizing and profile (app.Scenario) -----------------------------------
+
+
+def sponge_scenario(eps, omega, n_wavelengths=16, reduction=1e-6, half_width=2.0):
+    return Scenario(g=1.0, eps=eps, init=RiemannInitSpec(1.0, 0.0, 1.0, 0.0),
+                    domain=DomainSpec(half_width=half_width, boundary=BOUNDARY_SPONGE),
+                    sponge=SpongeSpec(omega=omega, n_wavelengths=n_wavelengths,
+                                      reduction=reduction),
+                    output=OutputSpec(times=(0.0,)))
 
 
 def test_sponge_params_reference_values():
-    ell, sigma_max = sponge_params(0.01, 3.0, 16, 1e-6)
+    ell, sigma_max, _ = sponge_scenario(0.01, 3.0, 16, 1e-6).sponge_geometry()
     assert ell == pytest.approx(16 * 2 * np.pi * 0.01 / 3.0, rel=1e-15)
     assert ell == pytest.approx(0.335, abs=1e-3)
     assert sigma_max == pytest.approx((0.06 / ell) * (-np.log(1e-6)), rel=1e-15)
@@ -29,25 +39,19 @@ def test_sponge_params_reference_values():
 
 
 def test_sponge_params_no_damping_requested():
-    _, sigma_max = sponge_params(0.01, 3.0, 16, reduction=1.0 - 1e-12)
+    _, sigma_max, _ = sponge_scenario(0.01, 3.0, 16, reduction=1.0 - 1e-12).sponge_geometry()
     assert sigma_max == pytest.approx(0.0, abs=1e-9)
 
 
-def test_sponge_params_validation():
-    with pytest.raises(ValueError):
-        sponge_params(0.01, 0.0, 16)
-    with pytest.raises(ValueError):
-        sponge_params(-0.01, 3.0, 16)
-    with pytest.raises(ValueError):
-        sponge_params(0.01, 3.0, 0)
-    with pytest.raises(ValueError):
-        sponge_params(0.01, 3.0, 16, reduction=1.5)
-
-
 def test_build_sponge_profile():
-    L, ell, smax = 1.0, 0.5, 2.0
-    m = build_mesh(-(L + ell), L + ell, 600, 1, NEUMANN)
-    sigma = build_sponge(m, L, ell, smax)
+    # ell = 2*pi*eps/omega = 0.5 and dx = 0.05*eps = 0.005: nodes at L + ell/2 and L + ell
+    L = 1.0
+    sc = sponge_scenario(0.1, 0.4 * np.pi, n_wavelengths=1, half_width=L)
+    ell, smax, layers = sc.sponge_geometry()
+    assert ell == pytest.approx(0.5, rel=1e-15) and layers == 100
+    m = sc.build_mesh()
+    assert m.b == pytest.approx(L + ell, rel=1e-12)
+    sigma = sc.sponge_profile(m)
     x = m.coords
     assert np.all(sigma[np.abs(x) <= L] == 0.0)
     assert sigma[np.argmin(np.abs(x - (L + ell)))] == pytest.approx(smax, rel=1e-12)
@@ -56,12 +60,6 @@ def test_build_sponge_profile():
     right = sigma[x >= 0.0][np.argsort(x[x >= 0.0])]
     assert np.all(np.diff(right) >= -1e-15)
     assert np.all(sigma >= 0.0)
-
-
-def test_build_sponge_geometry_error():
-    m = build_mesh(-1.0, 1.0, 100, 1, NEUMANN)
-    with pytest.raises(ValueError):
-        build_sponge(m, 1.0, 0.5, 2.0)
 
 
 # --- potential step -------------------------------------------------------------
@@ -88,9 +86,8 @@ def test_potential_step_preserves_modulus():
 
 
 def test_potential_step_cap_damping_factor():
-    L, ell, smax = 0.5, 0.5, 3.0
-    m = build_mesh(-(L + ell), L + ell, 100, 1, NEUMANN)
-    sigma = build_sponge(m, L, ell, smax)
+    m = build_mesh(-1.0, 1.0, 100, 1, NEUMANN)
+    sigma = np.random.default_rng(3).uniform(0.0, 3.0, m.num_nodes)
     A, eps, tau = 0.8, 0.05, 0.01
     cfg = SolverConfig(g=1.0, eps=eps, dt=0.02)
     w = potential_half_step(make_field(m, np.full(m.num_nodes, A), eps),
