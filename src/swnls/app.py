@@ -109,8 +109,11 @@ class Scenario:
     output: OutputSpec
 
     def __post_init__(self):
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"physics.eps must be positive and finite, got {self.eps}")
+        for key, value in _float_values("physics", self):
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if not self.eps > 0.0:
+            raise ValueError(f"physics.eps must be positive, got {self.eps}")
         if not self.g > 0.0:
             raise ValueError(f"physics.g must be positive, got {self.g}")
         if not self.domain.half_width > 0.0:
@@ -133,10 +136,8 @@ class Scenario:
         times = self.output.times
         if len(times) == 0:
             raise ValueError("output.times must not be empty")
-        if (not all(0.0 <= t < math.inf for t in times)
-                or any(b < a for a, b in zip(times, times[1:]))):
-            raise ValueError(f"output.times must be finite, nonnegative and "
-                             f"nondecreasing: {times}")
+        if min(times) < 0.0 or any(b < a for a, b in zip(times, times[1:])):
+            raise ValueError(f"output.times must be nonnegative and nondecreasing: {times}")
         if not self.output.directory:
             raise ValueError("output.directory must not be empty")
         if isinstance(self.init, RiemannInitSpec):
@@ -179,6 +180,11 @@ class Scenario:
             raise ValueError("discretization.dx_over_eps must be positive")
         if self.discretization.dt is not None and not self.discretization.dt > 0.0:
             raise ValueError(f"discretization.dt must be positive, got {self.discretization.dt}")
+        if not math.isfinite(self._element_count()):
+            raise ValueError(f"the element count 2*domain.half_width/(discretization."
+                             f"dx_over_eps*physics.eps) overflows: half_width "
+                             f"{self.domain.half_width}, dx_over_eps "
+                             f"{self.discretization.dx_over_eps}, eps {self.eps}")
 
     # --- derived quantities -------------------------------------------------
 
@@ -186,9 +192,11 @@ class Scenario:
     def delta(self) -> float:
         return self.init.delta_over_eps * self.eps
 
+    def _element_count(self) -> float:
+        return 2.0 * self.domain.half_width / (self.discretization.dx_over_eps * self.eps)
+
     def interior_elements(self) -> int:
-        width = 2.0 * self.domain.half_width
-        return max(1, round(width / (self.discretization.dx_over_eps * self.eps)))
+        return max(1, round(self._element_count()))
 
     @property
     def dx(self) -> float:
@@ -264,6 +272,21 @@ class Scenario:
 
     def solver_config(self) -> nls.SolverConfig:
         return nls.SolverConfig(g=self.g, eps=self.eps, dt=self.dt)
+
+
+def _float_values(section: str, spec):
+    """(key, value) for each float, or number in a tuple, held by a field of
+    the spec dataclass instance `spec` or of the specs nested in it; a nested
+    spec's section is its field name, so Scenario's own g and eps are
+    "physics"."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if is_dataclass(value):
+            yield from _float_values(f.name, value)
+        elif isinstance(value, tuple):
+            yield from ((f"{section}.{f.name}", v) for v in value)
+        elif isinstance(value, float):
+            yield f"{section}.{f.name}", value
 
 
 # --- parsing and serialization ----------------------------------------------
@@ -498,8 +521,7 @@ def emit_snapshot(state: tuple, refs: ReferenceSamples, path: str, *,
     """
     wave, hydro = state
     x = wave.mesh.coords
-    order = np.argsort(x[interior], kind="stable")
-    idx = np.flatnonzero(interior)[order]
+    idx = np.flatnonzero(interior)  # mesh nodes are ordered left to right
     b = np.asarray(bathymetry)
     columns = (x, hydro.h, refs.h, hydro.q, refs.q, wave.psi.real, wave.psi.imag,
                b, hydro.h + b, refs.eta)

@@ -20,8 +20,6 @@ TWO_RAREFACTIONS_VACUUM = "two_rarefactions_vacuum"
 RAREFACTION = "rarefaction"
 SHOCK = "shock"
 
-_STAR_MAX_ITER = 100
-
 
 @dataclass(frozen=True)
 class RiemannData:
@@ -54,8 +52,8 @@ class WaveStructure:
 
     For two-wave solutions `kind` is "<left>_<right>" with each side either
     rarefaction or shock; rarefaction sides carry (head, tail) fan speeds,
-    shock sides carry the shock speed in both slots.  Vacuum fronts are the
-    wet/dry interface speeds where a dry region exists.
+    shock sides carry the shock speed in both slots.  Where a dry region
+    exists, the tail of the fan next to it is the wet/dry front.
     """
 
     kind: str
@@ -67,8 +65,6 @@ class WaveStructure:
     left_tail: Optional[float] = None
     right_head: Optional[float] = None
     right_tail: Optional[float] = None
-    vacuum_left: Optional[float] = None
-    vacuum_right: Optional[float] = None
 
 
 def _depth_fn(h: float, h_side: float, g: float) -> float:
@@ -78,115 +74,76 @@ def _depth_fn(h: float, h_side: float, g: float) -> float:
     return (h - h_side) * math.sqrt(0.5 * g * (h + h_side) / (h * h_side))
 
 
-def _depth_fn_prime(h: float, h_side: float, g: float) -> float:
-    if h <= h_side:
-        return math.sqrt(g / h)
-    G = math.sqrt(0.5 * g * (h + h_side) / (h * h_side))
-    return G - 0.25 * g * (h - h_side) / (G * h * h)
-
-
 def star_state(d: RiemannData) -> tuple[float, float]:
     """Intermediate (h*, u*) for a two-wave pattern without vacuum.
 
-    Solves f_L(h) + f_R(h) + (u_R - u_L) = 0 by Newton iteration with a
-    bisection safeguard on a monotone bracket.
+    The depth-function sum f(h) = f_L(h) + f_R(h) + (u_R - u_L) increases
+    with h and is negative at h = 0 unless the data generate vacuum.  At the
+    two-rarefaction depth h_fans it is zero when both waves are fans and
+    positive otherwise, since above h_K a bore's depth function is at least a
+    fan's (Toro, Shock-Capturing Methods for Free-Surface Shallow Flows, ch. 5).
+    So h* = h_fans when h_fans <= min(h_L, h_R), and otherwise bisection on
+    [0, h_fans] down to adjacent floats finds it.
     """
     g = d.g
     du = d.u_right - d.u_left
-
-    def f(h: float) -> float:
-        return _depth_fn(h, d.h_left, g) + _depth_fn(h, d.h_right, g) + du
-
-    def fp(h: float) -> float:
-        return _depth_fn_prime(h, d.h_left, g) + _depth_fn_prime(h, d.h_right, g)
-
-    scale = max(1.0, abs(d.u_left) + abs(d.u_right) + d.a_left + d.a_right)
-    lo = 1e-14 * max(d.h_left, d.h_right, 1.0)
-    if f(lo) >= 0.0:
+    a_fans = 0.5 * (d.a_left + d.a_right) - 0.25 * du
+    if a_fans <= 0.0:  # the same test as u_R - u_L >= 2 (a_L + a_R)
         raise ValueError("star_state called on vacuum-generating data")
-    hi = max(d.h_left, d.h_right, lo)
-    grow = 0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise RuntimeError("failed to bracket the star depth")
-
-    # two-rarefaction approximation as the initial guess
-    a_star = 0.5 * (d.a_left + d.a_right) - 0.25 * du
-    h = max(a_star * a_star / g, lo) if a_star > 0.0 else 0.5 * (lo + hi)
-    for _ in range(_STAR_MAX_ITER):
-        fh = f(h)
-        if fh < 0.0:
-            lo = h
-        else:
-            hi = h
-        if abs(fh) <= 1e-13 * scale:
-            break
-        step = fh / fp(h)
-        h_new = h - step
-        if not lo < h_new < hi:
-            h_new = 0.5 * (lo + hi)
-        h = h_new
-    else:
-        raise RuntimeError(f"star-state iteration did not converge (residual {f(h):.3e})")
+    h = a_fans * a_fans / g
+    if h > min(d.h_left, d.h_right):
+        lo = 0.0
+        while lo < (mid := 0.5 * (lo + h)) < h:
+            if _depth_fn(mid, d.h_left, g) + _depth_fn(mid, d.h_right, g) + du < 0.0:
+                lo = mid
+            else:
+                h = mid
     u = 0.5 * (d.u_left + d.u_right) + 0.5 * (_depth_fn(h, d.h_right, g)
                                               - _depth_fn(h, d.h_left, g))
     return h, u
 
 
+def _wave(d: RiemannData, side: float, h_star: float,
+          u_star: float) -> tuple[str, float, float]:
+    """(kind, head, tail) of the wave joining the left (side -1) or right
+    (side +1) state of `d` to the star state; a fan into h* = 0 ends at the
+    wet/dry front u*."""
+    h, u, a = ((d.h_left, d.u_left, d.a_left) if side < 0.0
+               else (d.h_right, d.u_right, d.a_right))
+    if h_star > h:
+        q = math.sqrt(0.5 * (h_star + h) * h_star / (h * h))
+        speed = u + side * a * q
+        return SHOCK, speed, speed
+    return RAREFACTION, u + side * a, u_star + side * math.sqrt(d.g * h_star)
+
+
 def classify(d: RiemannData) -> WaveStructure:
-    """Classify the wave pattern and compute the star state and wave speeds."""
-    g = d.g
+    """Classify the wave pattern and compute the star state and wave speeds.
+
+    A dry side, or the vacuum between two fans, is a star state h* = 0 with
+    u* = u_L + 2 a_L seen from the left and u* = u_R - 2 a_R from the right.
+    """
     if d.h_left <= 0.0 and d.h_right <= 0.0:
         return WaveStructure(kind=DRY_EVERYWHERE)
+    h_star = u_star = None
+    left = right = (None, None, None)
     if d.h_right <= 0.0:
-        return WaveStructure(kind=SINGLE_RAREFACTION_DRY_RIGHT,
-                             left_wave=RAREFACTION,
-                             left_head=d.u_left - d.a_left,
-                             left_tail=d.u_left + 2.0 * d.a_left,
-                             vacuum_left=d.u_left + 2.0 * d.a_left)
-    if d.h_left <= 0.0:
-        return WaveStructure(kind=SINGLE_RAREFACTION_DRY_LEFT,
-                             right_wave=RAREFACTION,
-                             right_head=d.u_right + d.a_right,
-                             right_tail=d.u_right - 2.0 * d.a_right,
-                             vacuum_right=d.u_right - 2.0 * d.a_right)
-    if d.u_right - d.u_left >= 2.0 * (d.a_left + d.a_right):
-        return WaveStructure(kind=TWO_RAREFACTIONS_VACUUM,
-                             left_wave=RAREFACTION, right_wave=RAREFACTION,
-                             left_head=d.u_left - d.a_left,
-                             left_tail=d.u_left + 2.0 * d.a_left,
-                             right_head=d.u_right + d.a_right,
-                             right_tail=d.u_right - 2.0 * d.a_right,
-                             vacuum_left=d.u_left + 2.0 * d.a_left,
-                             vacuum_right=d.u_right - 2.0 * d.a_right)
-
-    h_star, u_star = star_state(d)
-    a_star = math.sqrt(g * h_star)
-    if h_star > d.h_left:
-        left_wave = SHOCK
-        q = math.sqrt(0.5 * (h_star + d.h_left) * h_star / (d.h_left * d.h_left))
-        s = d.u_left - d.a_left * q
-        left_head = left_tail = s
+        kind = SINGLE_RAREFACTION_DRY_RIGHT
+        left = _wave(d, -1.0, 0.0, d.u_left + 2.0 * d.a_left)
+    elif d.h_left <= 0.0:
+        kind = SINGLE_RAREFACTION_DRY_LEFT
+        right = _wave(d, 1.0, 0.0, d.u_right - 2.0 * d.a_right)
+    elif d.u_right - d.u_left >= 2.0 * (d.a_left + d.a_right):
+        kind = TWO_RAREFACTIONS_VACUUM
+        left = _wave(d, -1.0, 0.0, d.u_left + 2.0 * d.a_left)
+        right = _wave(d, 1.0, 0.0, d.u_right - 2.0 * d.a_right)
     else:
-        left_wave = RAREFACTION
-        left_head = d.u_left - d.a_left
-        left_tail = u_star - a_star
-    if h_star > d.h_right:
-        right_wave = SHOCK
-        q = math.sqrt(0.5 * (h_star + d.h_right) * h_star / (d.h_right * d.h_right))
-        s = d.u_right + d.a_right * q
-        right_head = right_tail = s
-    else:
-        right_wave = RAREFACTION
-        right_head = d.u_right + d.a_right
-        right_tail = u_star + a_star
-    return WaveStructure(kind=f"{left_wave}_{right_wave}",
-                         h_star=h_star, u_star=u_star,
-                         left_wave=left_wave, right_wave=right_wave,
-                         left_head=left_head, left_tail=left_tail,
-                         right_head=right_head, right_tail=right_tail)
+        h_star, u_star = star_state(d)
+        left, right = _wave(d, -1.0, h_star, u_star), _wave(d, 1.0, h_star, u_star)
+        kind = f"{left[0]}_{right[0]}"
+    return WaveStructure(kind=kind, h_star=h_star, u_star=u_star,
+                         left_wave=left[0], left_head=left[1], left_tail=left[2],
+                         right_wave=right[0], right_head=right[1], right_tail=right[2])
 
 
 def _left_fan(xi: float, d: RiemannData) -> tuple[float, float]:
@@ -233,9 +190,9 @@ def sample(d: RiemannData, structure: WaveStructure, x: float,
     if kind == TWO_RAREFACTIONS_VACUUM:
         if xi <= structure.left_head:
             return d.h_left, d.u_left
-        if xi < structure.vacuum_left:
+        if xi < structure.left_tail:
             return _left_fan(xi, d)
-        if xi <= structure.vacuum_right:
+        if xi <= structure.right_tail:
             return 0.0, 0.0
         if xi < structure.right_head:
             return _right_fan(xi, d)
@@ -315,8 +272,8 @@ def sample_profile(d: RiemannData, structure: WaveStructure, x: np.ndarray,
                             (None, right_fan)])
     if s.kind == TWO_RAREFACTIONS_VACUUM:
         return _select(xi, [(xi <= s.left_head, left_state),
-                            (xi < s.vacuum_left, left_fan),
-                            (xi <= s.vacuum_right, dry),
+                            (xi < s.left_tail, left_fan),
+                            (xi <= s.right_tail, dry),
                             (xi < s.right_head, right_fan),
                             (None, right_state)])
 

@@ -279,10 +279,10 @@ def test_criterion_09_exact_oracles():
     dv = exact.RiemannData(1.0, -3.0, 2.0, 3.0, 1.0)
     sv = exact.classify(dv)
     inv = 0.0
-    for xi in np.linspace(sv.left_head + 1e-3, sv.vacuum_left - 1e-3, 20):
+    for xi in np.linspace(sv.left_head + 1e-3, sv.left_tail - 1e-3, 20):
         h, u = exact.sample(dv, sv, xi, 1.0)
         inv = max(inv, abs(u + 2 * math.sqrt(h) - (dv.u_left + 2 * dv.a_left)))
-    for xi in np.linspace(sv.vacuum_right + 1e-3, sv.right_head - 1e-3, 20):
+    for xi in np.linspace(sv.right_tail + 1e-3, sv.right_head - 1e-3, 20):
         h, u = exact.sample(dv, sv, xi, 1.0)
         inv = max(inv, abs(u - 2 * math.sqrt(h) - (dv.u_right - 2 * dv.a_right)))
     inv_ok = inv <= 1e-12

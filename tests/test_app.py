@@ -315,8 +315,11 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     ("init.u_left", [], {"init": {"recipe": "riemann_tanh", "h_left": 1.0,
                                   "u_left": -math.inf, "h_right": 0.5, "u_right": 0.0}}),
     ("domain.half_width", [], {"domain": {"half_width": 10**400, "boundary": "neumann"}}),
+    # finite values whose element count 2*half_width/(dx_over_eps*eps) is not
+    ("domain.half_width", [], {"domain": {"half_width": 1e307, "boundary": "neumann"}}),
+    ("physics.eps", ["--eps", "1e-310"], {}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
-        "half_width_beyond_float"])
+        "half_width_beyond_float", "element_count_half_width", "element_count_eps"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)
@@ -328,6 +331,27 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("builtin, key, value", [
+    ("dam_break_dry", "physics.g", math.inf),
+    ("dam_break_dry", "domain.half_width", math.inf),
+    ("dam_break_dry", "discretization.dt", math.inf),
+    ("dam_break_dry", "discretization.dx_over_eps", math.inf),
+    ("dam_break_dry", "init.h_left", math.nan),
+    ("dam_break_dry", "init.delta_over_eps", math.inf),
+    ("vacuum_generation", "sponge.omega", math.inf),
+    ("lake_at_rest_wet", "bathymetry.b_max", -math.inf),
+])
+def test_scenario_rejects_non_finite_fields(builtin, key, value):
+    from dataclasses import replace
+    sc = builtin_scenario(builtin)
+    section, name = key.split(".")
+    with pytest.raises(ValueError, match=re.escape(key)):
+        if section == "physics":
+            replace(sc, **{name: value})
+        else:
+            replace(sc, **{section: replace(getattr(sc, section), **{name: value})})
 
 
 @pytest.mark.parametrize("case", ["out_below_file", "scenario_is_directory"])
@@ -441,7 +465,7 @@ def test_emit_snapshot_matches_row_loop_bytes(tmp_path, monkeypatch, block_rows)
     from types import SimpleNamespace
     from swnls.mesh import NEUMANN, build_mesh
     monkeypatch.setattr(app, "_EMIT_BLOCK_ROWS", block_rows)
-    m = build_mesh(-3.0, 3.0, 1000, 3, NEUMANN)  # degree 3: node order is not x order
+    m = build_mesh(-3.0, 3.0, 1000, 3, NEUMANN)  # degree 3: two nodes inside each element
     interior = np.abs(m.coords) <= 2.0            # sponge-style mask
     rng = np.random.default_rng(7)
     n = m.num_nodes

@@ -66,6 +66,18 @@ def test_build_mesh_periodic_mass():
     assert m.coords[0] == -2.0
 
 
+@pytest.mark.parametrize("k", range(1, 17))
+def test_coords_strictly_increasing(k):
+    # snapshot rows are written in node order, which must be x order
+    from dataclasses import replace
+    from swnls.app import DiscretizationSpec, builtin_scenario
+    sponge = replace(builtin_scenario("vacuum_generation"), eps=0.32,
+                     discretization=DiscretizationSpec(degree=k))
+    meshes = [build_mesh(-2.0, 2.0, 9, k, topology) for topology in (NEUMANN, PERIODIC)]
+    for m in meshes + [sponge.build_mesh()]:
+        assert np.all(np.diff(m.coords) > 0.0)
+
+
 def test_single_element_stiffness():
     h_e = 0.25
     m = build_mesh(0.0, h_e, 1, 1, NEUMANN)
