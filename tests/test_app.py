@@ -315,7 +315,7 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     ("init.u_left", [], {"init": {"recipe": "riemann_tanh", "h_left": 1.0,
                                   "u_left": -math.inf, "h_right": 0.5, "u_right": 0.0}}),
     ("domain.half_width", [], {"domain": {"half_width": 10**400, "boundary": "neumann"}}),
-    # finite values whose element count 2*half_width/(dx_over_eps*eps) is not
+    # finite values whose element count 2*half_width/(dx_over_eps*eps) is not finite
     ("domain.half_width", [], {"domain": {"half_width": 1e307, "boundary": "neumann"}}),
     ("physics.eps", ["--eps", "1e-310"], {}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
