@@ -35,6 +35,9 @@ SNAPSHOT_HEADER = "x,h_num,h_ref,q_num,q_ref,re_psi,im_psi,b,eta_num,eta_ref"
 DIAGNOSTICS_HEADER = "t,mass,energy_total,energy_fisher,energy_potential"
 # Snapshot rows formatted per write; bounds the text held in memory at once.
 _EMIT_BLOCK_ROWS = 1024
+# Most mesh nodes a run can hold: a complex128 array's byte count must fit in
+# a signed machine word.
+_MAX_NODES = sys.maxsize // 16
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,10 @@ class Scenario:
                 raise ValueError("sponge.omega must be nonzero")
             if not 0.0 < self.sponge.reduction < 1.0:
                 raise ValueError(f"sponge.reduction must lie in (0,1), got {self.sponge.reduction}")
-            if self.sponge.n_wavelengths < 1:
-                raise ValueError(f"sponge.n_wavelengths must be >= 1, got "
-                                 f"{self.sponge.n_wavelengths}")
+            # an integer beyond the largest float cannot size the layer
+            if not 1 <= self.sponge.n_wavelengths <= sys.float_info.max:
+                raise ValueError(f"sponge.n_wavelengths must be >= 1 and a finite "
+                                 f"number, got {self.sponge.n_wavelengths}")
         elif self.sponge is not None:
             raise ValueError("a sponge section is read only with domain.boundary "
                              "sponge_neumann")
@@ -185,6 +189,21 @@ class Scenario:
                              f"dx_over_eps*physics.eps) overflows: half_width "
                              f"{self.domain.half_width}, dx_over_eps "
                              f"{self.discretization.dx_over_eps}, eps {self.eps}")
+        if (self.domain.boundary == BOUNDARY_SPONGE
+                and not math.isfinite(self._sponge_width() / self.dx)):
+            raise ValueError(f"the sponge layer's element count sponge.n_wavelengths*2*pi*"
+                             f"physics.eps/(|sponge.omega|*dx) overflows: n_wavelengths "
+                             f"{self.sponge.n_wavelengths}, omega {self.sponge.omega}, "
+                             f"eps {self.eps}, dx {self.dx}")
+        _, elements, topology = self._mesh_extent()
+        nodes = elements * self.discretization.degree + (topology == meshmod.NEUMANN)
+        if nodes > _MAX_NODES:
+            keys = ("domain.half_width, discretization.dx_over_eps, discretization.degree, "
+                    "physics.eps")
+            if self.domain.boundary == BOUNDARY_SPONGE:
+                keys += ", sponge.n_wavelengths, sponge.omega"
+            raise ValueError(f"the mesh would have more than {_MAX_NODES} nodes, the most "
+                             f"an array can hold; it is sized by {keys}")
 
     # --- derived quantities -------------------------------------------------
 
@@ -208,27 +227,34 @@ class Scenario:
             return self.discretization.dt
         return self.dx
 
+    def _sponge_width(self) -> float:
+        sp = self.sponge
+        return sp.n_wavelengths * 2.0 * np.pi * self.eps / abs(sp.omega)
+
     def sponge_geometry(self) -> tuple[float, float, int]:
         """(ell, sigma_max, layer element count) of each absorbing layer: ell
         spans n_wavelengths carrier periods 2*pi*eps/|omega|, sigma_max damps
         one crossing by `reduction`, and the layer is rounded up to whole elements."""
         sp = self.sponge
-        ell = sp.n_wavelengths * 2.0 * np.pi * self.eps / abs(sp.omega)
+        ell = self._sponge_width()
         sigma_max = -(2.0 * self.eps * abs(sp.omega) / ell) * np.log(sp.reduction)
         layers = math.ceil(ell / self.dx - 1e-9)
         return ell, float(sigma_max), layers
 
-    def build_mesh(self) -> meshmod.Mesh1D:
+    def _mesh_extent(self) -> tuple[float, int, str]:
+        """(half-length, element count, topology) of the mesh, sponge layers included."""
         L = self.domain.half_width
         m = self.interior_elements()
         if self.domain.boundary == BOUNDARY_SPONGE:
             _, _, layers = self.sponge_geometry()
-            pad = layers * self.dx
-            return meshmod.build_mesh(-(L + pad), L + pad, m + 2 * layers,
-                                      self.discretization.degree, meshmod.NEUMANN)
+            return L + layers * self.dx, m + 2 * layers, meshmod.NEUMANN
         topology = (meshmod.PERIODIC if self.domain.boundary == BOUNDARY_PERIODIC
                     else meshmod.NEUMANN)
-        return meshmod.build_mesh(-L, L, m, self.discretization.degree, topology)
+        return L, m, topology
+
+    def build_mesh(self) -> meshmod.Mesh1D:
+        half, elements, topology = self._mesh_extent()
+        return meshmod.build_mesh(-half, half, elements, self.discretization.degree, topology)
 
     def bathymetry_values(self, x: np.ndarray) -> np.ndarray:
         spec = self.bathymetry

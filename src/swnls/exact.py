@@ -83,8 +83,12 @@ def star_state(d: RiemannData) -> tuple[float, float]:
     positive otherwise, since above h_K a bore's depth function is at least a
     fan's (Toro, Shock-Capturing Methods for Free-Surface Shallow Flows, ch. 5).
     So h* = h_fans when h_fans <= min(h_L, h_R), and otherwise bisection on
-    [0, h_fans] down to adjacent floats finds it.
+    [0, h_fans] down to adjacent floats finds it.  Data with a dry side, or
+    that generate vacuum, have no such star state: ValueError.
     """
+    if d.h_left == 0.0 or d.h_right == 0.0:
+        raise ValueError(f"star_state called on data with a dry side (h_left {d.h_left}, "
+                         f"h_right {d.h_right}): they have no two-wave star state")
     g = d.g
     du = d.u_right - d.u_left
     a_fans = 0.5 * (d.a_left + d.a_right) - 0.25 * du

@@ -318,8 +318,20 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     # finite values whose element count 2*half_width/(dx_over_eps*eps) is not finite
     ("domain.half_width", [], {"domain": {"half_width": 1e307, "boundary": "neumann"}}),
     ("physics.eps", ["--eps", "1e-310"], {}),
+    # a sponge layer whose element count is not finite
+    ("sponge.omega", [], {"domain": {"half_width": 1.0, "boundary": "sponge_neumann"},
+                          "sponge": {"omega": 1e-320}}),
+    ("sponge.n_wavelengths", [], {"domain": {"half_width": 1.0, "boundary": "sponge_neumann"},
+                                  "sponge": {"omega": 3.0, "n_wavelengths": 10**400}}),
+    # finite counts, but more nodes than an array can hold
+    ("sponge.omega", [], {"domain": {"half_width": 1.0, "boundary": "sponge_neumann"},
+                          "sponge": {"omega": 1e-300}}),
+    ("domain.half_width", [], {"domain": {"half_width": 1e300, "boundary": "neumann"}}),
+    ("domain.half_width", [], {"domain": {"half_width": 1e300, "boundary": "periodic"}}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
-        "half_width_beyond_float", "element_count_half_width", "element_count_eps"])
+        "half_width_beyond_float", "element_count_half_width", "element_count_eps",
+        "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
+        "mesh_size_half_width", "mesh_size_periodic"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)

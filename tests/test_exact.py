@@ -132,6 +132,14 @@ def test_star_state_residual(h_left, u_left, h_right, u_right, g):
     assert abs(res) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("data", [RiemannData(0.0, 0.0, 1.0, 0.0),
+                                  RiemannData(1.0, 0.0, 0.0, 0.0)],
+                         ids=["dry_left", "dry_right"])
+def test_star_state_refuses_a_dry_side(data):
+    with pytest.raises(ValueError, match="no two-wave star state"):
+        star_state(data)
+
+
 def test_star_state_equal_states_is_identity():
     h, u = star_state(RiemannData(0.7, 0.25, 0.7, 0.25, 1.0))
     assert h == pytest.approx(0.7, rel=1e-12)

@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from swnls.app import (BOUNDARY_SPONGE, DomainSpec, OutputSpec, RiemannInitSpec, Scenario,
                        SpongeSpec)
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, discrete_inner_product
-from swnls.nls import (SolverConfig, dispersive_step, potential_half_step, run,
-                       strang_step)
+from swnls.nls import (SolverConfig, _DispersiveOperator, dispersive_step,
+                       potential_half_step, run, strang_step)
 
 
 def make_field(mesh, psi, eps):
@@ -129,6 +131,30 @@ def test_dispersive_step_norm_conservation(topology):
     n0 = norm_h(m, psi)
     w = dispersive_step(make_field(m, psi, 0.05), m, cfg)
     assert abs(norm_h(m, w.psi) - n0) <= 1e-12 * n0
+
+
+@pytest.mark.parametrize("topology, degree, ordering", [
+    (PERIODIC, 1, "MMD_AT_PLUS_A"), (PERIODIC, 2, "MMD_AT_PLUS_A"),
+    (PERIODIC, 3, "MMD_AT_PLUS_A"),
+    # degree >= 2 Neumann output is rounding-sensitive at dt = dx, so the
+    # digits of SuperLU's default ordering are pinned
+    (NEUMANN, 1, "COLAMD"), (NEUMANN, 2, "COLAMD"),
+])
+def test_dispersive_solve_column_ordering(topology, degree, ordering):
+    # the dense solution to rounding, and bitwise the digits of SuperLU with
+    # the topology's column ordering; the system is built apart from nls
+    m = build_mesh(-1.0, 1.0, 24, degree, topology)
+    eps, tau = 0.05, 0.01
+    M = sparse.diags(m.mass)
+    a, c = eps / tau, 0.25 * eps * eps
+    A = ((1j * a) * M - c * m.stiffness).tocsc()
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
+    rhs = ((1j * a) * M + c * m.stiffness) @ psi
+    got = _DispersiveOperator(m, eps, tau).apply(psi)
+    dense = np.linalg.solve(A.toarray(), rhs)
+    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert np.array_equal(got, spla.splu(A, permc_spec=ordering).solve(rhs))
 
 
 def test_solver_config_validation():
