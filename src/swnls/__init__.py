@@ -10,7 +10,7 @@ from .diagnostics import EnergyReport, ErrorReport, convergence_order, energy, e
 from .exact import RiemannData, WaveStructure, classify, lake_at_rest_exact, sample, star_state, thacker_exact
 from .madelung import HydroState, WaveField, init_riemann, init_softplus_surface, recover
 from .mesh import GaussLobattoRule, Mesh1D, build_mesh, discrete_inner_product, gauss_lobatto
-from .nls import RunResult, SolverConfig, dispersive_step, potential_half_step, run, strang_step
+from .nls import RunResult, Stepper, dispersive_step, potential_half_step, run, strang_step
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,7 @@ __all__ = [
     "init_softplus_surface", "recover",
     "GaussLobattoRule", "Mesh1D", "build_mesh", "discrete_inner_product",
     "gauss_lobatto",
-    "RunResult", "SolverConfig", "dispersive_step", "potential_half_step",
+    "RunResult", "Stepper", "dispersive_step", "potential_half_step",
     "run", "strang_step",
     "__version__",
 ]

@@ -184,26 +184,11 @@ class Scenario:
             raise ValueError("discretization.dx_over_eps must be positive")
         if self.discretization.dt is not None and not self.discretization.dt > 0.0:
             raise ValueError(f"discretization.dt must be positive, got {self.discretization.dt}")
-        if not math.isfinite(self._element_count()):
-            raise ValueError(f"the element count 2*domain.half_width/(discretization."
-                             f"dx_over_eps*physics.eps) overflows: half_width "
-                             f"{self.domain.half_width}, dx_over_eps "
-                             f"{self.discretization.dx_over_eps}, eps {self.eps}")
-        if (self.domain.boundary == BOUNDARY_SPONGE
-                and not math.isfinite(self._sponge_width() / self.dx)):
-            raise ValueError(f"the sponge layer's element count sponge.n_wavelengths*2*pi*"
-                             f"physics.eps/(|sponge.omega|*dx) overflows: n_wavelengths "
-                             f"{self.sponge.n_wavelengths}, omega {self.sponge.omega}, "
-                             f"eps {self.eps}, dx {self.dx}")
-        _, elements, topology = self._mesh_extent()
-        nodes = elements * self.discretization.degree + (topology == meshmod.NEUMANN)
-        if nodes > _MAX_NODES:
-            keys = ("domain.half_width, discretization.dx_over_eps, discretization.degree, "
-                    "physics.eps")
-            if self.domain.boundary == BOUNDARY_SPONGE:
-                keys += ", sponge.n_wavelengths, sponge.omega"
-            raise ValueError(f"the mesh would have more than {_MAX_NODES} nodes, the most "
-                             f"an array can hold; it is sized by {keys}")
+        nodes, keys = self._mesh_size()
+        if not nodes <= _MAX_NODES:
+            raise ValueError(f"the mesh would have {nodes:.6g} nodes, not a finite count "
+                             f"of at most {_MAX_NODES}, the most an array can hold; it is "
+                             f"sized by {keys}")
 
     # --- derived quantities -------------------------------------------------
 
@@ -240,6 +225,20 @@ class Scenario:
         sigma_max = -(2.0 * self.eps * abs(sp.omega) / ell) * np.log(sp.reduction)
         layers = math.ceil(ell / self.dx - 1e-9)
         return ell, float(sigma_max), layers
+
+    def _mesh_size(self) -> tuple[float, str]:
+        """The mesh's node count, computed in floating point from the inputs of
+        _mesh_extent before its rounding to whole elements (so nan or inf where
+        they overflow), and the keys that size it."""
+        elements = max(self._element_count(), 1.0)  # max keeps a nan count
+        keys = ("domain.half_width, discretization.dx_over_eps, discretization.degree, "
+                "physics.eps")
+        if self.domain.boundary == BOUNDARY_SPONGE:
+            # two layers of ell/dx elements each, with dx = 2*half_width/elements
+            elements += elements * self._sponge_width() / self.domain.half_width
+            keys += ", sponge.n_wavelengths, sponge.omega"
+        nodes = elements * self.discretization.degree + (self.domain.boundary != BOUNDARY_PERIODIC)
+        return nodes, keys
 
     def _mesh_extent(self) -> tuple[float, int, str]:
         """(half-length, element count, topology) of the mesh, sponge layers included."""
@@ -295,9 +294,6 @@ class Scenario:
         ell, sigma_max, _ = self.sponge_geometry()
         s = np.clip((np.abs(m.coords) - self.domain.half_width) / ell, 0.0, 1.0)
         return sigma_max * s**3 * (6.0 * s * s - 15.0 * s + 10.0)
-
-    def solver_config(self) -> nls.SolverConfig:
-        return nls.SolverConfig(g=self.g, eps=self.eps, dt=self.dt)
 
 
 def _float_values(section: str, spec):
@@ -583,11 +579,21 @@ def default_error_window(scenario: Scenario, t: float) -> tuple[float, float]:
     return (-L, L)
 
 
+def _run(scenario: Scenario) -> nls.RunResult:
+    """nls.run, with running out of memory reported against the mesh size."""
+    try:
+        return nls.run(scenario)
+    except MemoryError as err:
+        nodes, keys = scenario._mesh_size()
+        raise MemoryError(f"out of memory for a mesh of {nodes:.6g} nodes, sized by "
+                          f"{keys}: {err}") from None
+
+
 def run_and_write(scenario: Scenario, out_dir: Optional[str] = None) -> nls.RunResult:
     """Run a scenario, write snapshot CSVs, the diagnostics log and the
     effective scenario document into the output directory."""
     out_dir = out_dir or scenario.output.directory
-    result = nls.run(scenario)
+    result = _run(scenario)
     os.makedirs(out_dir, exist_ok=True)
     interior = interior_mask(scenario, result.mesh)
     with open(os.path.join(out_dir, "scenario_used.json"), "w") as fh:
@@ -611,7 +617,7 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
     rows = []
     for eps in eps_list:
         sc = replace(scenario, eps=eps)
-        result = nls.run(sc)
+        result = _run(sc)
         t_final = sc.output.times[-1]
         wave, hydro = result.snapshots[-1]
         window = default_error_window(sc, t_final)
@@ -706,7 +712,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         sweep(scenario, eps_list, norm=args.norm, field_name=args.field,
               out_dir=args.out)
         return 0
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

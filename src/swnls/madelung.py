@@ -8,7 +8,7 @@ target hydrodynamic data; recovery inverts the map at the mesh nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +25,8 @@ class WaveField:
     eps: float
     time: float = 0.0
 
-    def copy_with(self, psi: np.ndarray, time: Optional[float] = None) -> "WaveField":
-        return WaveField(self.mesh, psi, self.eps,
-                         self.time if time is None else time)
+    def copy_with(self, psi: np.ndarray) -> "WaveField":
+        return WaveField(self.mesh, psi, self.eps, self.time)
 
 
 @dataclass(eq=False)

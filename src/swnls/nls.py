@@ -3,11 +3,12 @@
 Second-order Strang splitting: analytic nodal half-steps for the nonlinear
 potential (with optional complex-absorbing-potential damping inside sponge
 layers) around a Crank-Nicolson step for the linear dispersive part.  The
-dispersive system matrix is constant per step size, so the one for the
-regular step dt is factorized once per run and reused; the shortened step
-before an output time gets a factorization of its own that is dropped after
-that step.  In 1D the banded system always has a sparse LU factorization, so
-that is the only solver.
+dispersive system matrix is constant per step size.  ``run`` builds one
+``Stepper`` per run, which factorizes the matrix for the regular step dt when
+it is made and keeps that factorization as long as it lives; the shortened
+step before an output time is factorized for that step only.  In 1D the
+banded system always has a sparse LU factorization, so that is the only
+solver.
 
 The factorization is SuperLU's, and its column ordering depends on the mesh
 topology.  A periodic matrix, banded plus two corner blocks, is ordered by
@@ -20,8 +21,8 @@ the benchmark pins those digits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sparse
@@ -34,41 +35,55 @@ from .mesh import PERIODIC, Mesh1D
 _TIME_SNAP = 1e-12
 
 
-@dataclass(eq=False)
-class SolverConfig:
-    """Physics constants and time-stepping parameters for one run."""
+def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Crank-Nicolson update psi -> psi' of the linear dispersive subflow over tau.
 
-    g: float
-    eps: float
-    dt: float
-    _dt_operator: Optional["_DispersiveOperator"] = field(default=None, repr=False)
+    Solves [i*(eps/tau)*M - (eps^2/4)*K] psi' = [i*(eps/tau)*M + (eps^2/4)*K] psi
+    with the (banded) system matrix factorized here, once, by SuperLU.
+    """
+    a = eps / tau
+    c = 0.25 * eps * eps
+    M = sparse.diags(mesh.mass)
+    K = mesh.stiffness
+    b_mat = ((1j * a) * M + c * K).tocsr()
+    # On a Neumann mesh MMD_AT_PLUS_A would be no slower.  COLAMD is kept
+    # only because degree >= 2 Neumann output is rounding-sensitive at
+    # dt = dx and the benchmark's riemann_steps degree-2 gate (1e-6
+    # relative) pins its digits; once dt obeys a per-degree stability
+    # bound, this choice goes.
+    ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
+    solve = spla.splu(((1j * a) * M - c * K).tocsc(), permc_spec=ordering).solve
+    return lambda psi: solve(b_mat @ psi)
 
-    def __post_init__(self):
-        if not self.g > 0.0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
-    def dispersive_operator(self, mesh: Mesh1D, tau: float) -> "_DispersiveOperator":
-        """The Crank-Nicolson operator over tau on mesh.
+class Stepper:
+    """One run's time stepping: the mesh, g, eps, the regular step dt and the
+    Crank-Nicolson factorization for dt, made here and kept as long as the
+    stepper lives."""
 
-        Only the operator for tau == dt is kept, for the last mesh it was
-        asked for; it lives as long as this config.  Any other tau (the
-        shortened step before an output time) is factorized for the caller
-        and dropped with it.
-        """
-        if tau != self.dt:
-            return _DispersiveOperator(mesh, self.eps, tau)
-        op = self._dt_operator
-        if op is None or op.mesh is not mesh:
-            op = self._dt_operator = _DispersiveOperator(mesh, self.eps, tau)
-        return op
+    def __init__(self, mesh: Mesh1D, g: float, eps: float, dt: float):
+        if not g > 0.0:
+            raise ValueError(f"g must be positive, got {g}")
+        if not eps > 0.0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if not dt > 0.0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self.mesh = mesh
+        self.g = g
+        self.eps = eps
+        self.dt = dt
+        self._dt_solve = _crank_nicolson(mesh, eps, dt)
+
+    def solve(self, psi: np.ndarray, tau: float) -> np.ndarray:
+        """psi after one Crank-Nicolson step over tau; a tau other than dt is
+        factorized for this call only."""
+        if tau == self.dt:
+            return self._dt_solve(psi)
+        return _crank_nicolson(self.mesh, self.eps, tau)(psi)
 
 
 def potential_half_step(wave: WaveField, b: np.ndarray,
-                        sponge: Optional[np.ndarray], cfg: SolverConfig,
+                        sponge: Optional[np.ndarray], stepper: Stepper,
                         tau: float) -> WaveField:
     """Exact nodal update of the potential subflow over tau.
 
@@ -77,58 +92,27 @@ def potential_half_step(wave: WaveField, b: np.ndarray,
     exp(-sigma*tau/eps) where a sponge (the nodal sigma) is supplied.
     """
     psi = wave.psi
-    phase = np.exp(-1j * (cfg.g / wave.eps) * (np.abs(psi) ** 2 + b) * tau)
+    phase = np.exp(-1j * (stepper.g / stepper.eps) * (np.abs(psi) ** 2 + b) * tau)
     if sponge is not None:
-        phase = phase * np.exp(-sponge * tau / wave.eps)
+        phase = phase * np.exp(-sponge * tau / stepper.eps)
     return wave.copy_with(phase * psi)
 
 
-class _DispersiveOperator:
-    """Crank-Nicolson update for the linear dispersive subflow over a fixed tau.
-
-    Solves [i*(eps/tau)*M - (eps^2/4)*K] psi' = [i*(eps/tau)*M + (eps^2/4)*K] psi
-    with the (banded) system matrix factorized once by SuperLU.  A periodic
-    mesh's matrix is ordered with MMD_AT_PLUS_A, whose solve is several times
-    faster than COLAMD's at the same fill; a Neumann mesh's keeps COLAMD for
-    its digits only.
-    """
-
-    def __init__(self, mesh: Mesh1D, eps: float, tau: float):
-        self.mesh = mesh
-        self.tau = tau
-        a = eps / tau
-        c = 0.25 * eps * eps
-        M = sparse.diags(mesh.mass)
-        K = mesh.stiffness
-        self._b_mat = ((1j * a) * M + c * K).tocsr()
-        # On a Neumann mesh MMD_AT_PLUS_A would be no slower.  COLAMD is kept
-        # only because degree >= 2 Neumann output is rounding-sensitive at
-        # dt = dx and the benchmark's riemann_steps degree-2 gate (1e-6
-        # relative) pins its digits; once dt obeys a per-degree stability
-        # bound, this choice goes.
-        ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
-        self._solve = spla.splu(((1j * a) * M - c * K).tocsc(), permc_spec=ordering).solve
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self._solve(self._b_mat @ psi)
-
-
-def dispersive_step(wave: WaveField, mesh: Mesh1D, cfg: SolverConfig,
-                    tau: Optional[float] = None) -> WaveField:
-    """One Crank-Nicolson step of the dispersive subflow over tau (default cfg.dt)."""
-    tau = cfg.dt if tau is None else tau
-    op = cfg.dispersive_operator(mesh, tau)
-    return wave.copy_with(op.apply(wave.psi))
+def dispersive_step(wave: WaveField, mesh: Mesh1D, stepper: Stepper,
+                    tau: float) -> WaveField:
+    """One Crank-Nicolson step of the dispersive subflow over tau on the
+    stepper's mesh."""
+    if mesh is not stepper.mesh:
+        raise ValueError("dispersive_step: the mesh is not the one the stepper was made for")
+    return wave.copy_with(stepper.solve(wave.psi, tau))
 
 
 def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray],
-                cfg: SolverConfig, tau: Optional[float] = None) -> WaveField:
-    """Advance by tau (default cfg.dt): half potential, full dispersive,
-    half potential."""
-    tau = cfg.dt if tau is None else tau
-    out = potential_half_step(wave, b, sponge, cfg, 0.5 * tau)
-    out = dispersive_step(out, wave.mesh, cfg, tau)
-    out = potential_half_step(out, b, sponge, cfg, 0.5 * tau)
+                stepper: Stepper, tau: float) -> WaveField:
+    """Advance by tau: half potential, full dispersive, half potential."""
+    out = potential_half_step(wave, b, sponge, stepper, 0.5 * tau)
+    out = dispersive_step(out, wave.mesh, stepper, tau)
+    out = potential_half_step(out, b, sponge, stepper, 0.5 * tau)
     out.time = wave.time + tau
     return out
 
@@ -148,14 +132,15 @@ def run(scenario) -> RunResult:
     """Run a scenario to each requested output time and collect snapshots.
 
     The scenario provides the setup (see app.Scenario): mesh construction,
-    nodal bathymetry, the initial wave field, an optional sponge profile and
-    the solver configuration.  The step before each output time is shortened
-    so snapshots land exactly on the requested times.
+    nodal bathymetry, the initial wave field, an optional sponge profile, and
+    g, eps and the step dt, from which one Stepper is made for the run.  The
+    step before each output time is shortened so snapshots land exactly on
+    the requested times.
     """
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)
     sponge = scenario.sponge_profile(mesh)
-    cfg = scenario.solver_config()
+    stepper = Stepper(mesh, scenario.g, scenario.eps, scenario.dt)
     wave = scenario.initial_field(mesh)
 
     times = list(scenario.output.times)
@@ -164,14 +149,14 @@ def run(scenario) -> RunResult:
     steps = 0
     for t_out in times:
         while t_out - wave.time > _TIME_SNAP * max(1.0, t_out):
-            tau = min(cfg.dt, t_out - wave.time)
-            wave = strang_step(wave, b, sponge, cfg, tau)
+            tau = min(stepper.dt, t_out - wave.time)
+            wave = strang_step(wave, b, sponge, stepper, tau)
             steps += 1
             if not np.all(np.isfinite(wave.psi)):
                 raise RuntimeError(f"non-finite wave function after step {steps} "
                                    f"(t = {wave.time:.6g})")
         wave.time = t_out  # snap away accumulated roundoff
         snapshots.append((wave, recover(wave)))
-        energies.append(diagnostics.energy(wave, b, cfg.g))
+        energies.append(diagnostics.energy(wave, b, stepper.g))
     return RunResult(mesh=mesh, bathymetry=b, snapshots=snapshots, energies=energies,
                      steps_taken=steps)

@@ -79,12 +79,12 @@ def test_criterion_02_splitting_invariants():
     rng = np.random.default_rng(2)
     psi = rng.normal(size=mesh.num_nodes) + 1j * rng.normal(size=mesh.num_nodes)
     b = rng.normal(size=mesh.num_nodes)
-    cfg = swnls.SolverConfig(g=1.0, eps=0.04, dt=0.002)
-    w1 = nls.potential_half_step(WaveField(mesh, psi, 0.04), b, None, cfg, 0.001)
+    stepper = swnls.Stepper(mesh, g=1.0, eps=0.04, dt=0.002)
+    w1 = nls.potential_half_step(WaveField(mesh, psi, 0.04), b, None, stepper, 0.001)
     mod_err = np.max(np.abs(np.abs(w1.psi) - np.abs(psi))) / np.max(np.abs(psi))
 
     n0 = discrete_inner_product(mesh, psi, psi).real
-    w2 = nls.dispersive_step(WaveField(mesh, psi, 0.04), mesh, cfg)
+    w2 = nls.dispersive_step(WaveField(mesh, psi, 0.04), mesh, stepper, 0.002)
     n1 = discrete_inner_product(mesh, w2.psi, w2.psi).real
     cn_err = abs(n1 - n0) / n0
 
@@ -109,10 +109,10 @@ def test_criterion_03_temporal_order():
     psi_exact = A * np.exp(1j * (kappa * mesh.coords - mu * T) / eps)
     errs = []
     for nsteps in (100, 200, 400):
-        cfg = swnls.SolverConfig(g=g, eps=eps, dt=T / nsteps)
+        stepper = swnls.Stepper(mesh, g=g, eps=eps, dt=T / nsteps)
         w = WaveField(mesh, psi0.copy(), eps)
         for _ in range(nsteps):
-            w = nls.strang_step(w, b, None, cfg)
+            w = nls.strang_step(w, b, None, stepper, stepper.dt)
         phase_err = abs(np.angle(discrete_inner_product(mesh, psi_exact, w.psi)))
         errs.append((T / nsteps, phase_err))
     order = diagnostics.convergence_order(errs)
@@ -308,7 +308,7 @@ def test_criterion_10_sponge_absorption():
     x = mesh.coords
     psi0 = np.exp(-x**2 / (2 * 0.15**2)) * np.exp(1j * omega * x / eps)
     w = WaveField(mesh, psi0, eps)
-    cfg = sc.solver_config()
+    stepper = nls.Stepper(mesh, sc.g, sc.eps, sc.dt)
     dx = sc.dx
     b = np.zeros(mesh.num_nodes)
     interior = np.abs(x) <= sc.domain.half_width
@@ -316,7 +316,7 @@ def test_criterion_10_sponge_absorption():
     mass_prev = discrete_inner_product(mesh, w.psi, w.psi).real
     monotone = True
     for _ in range(round(1.6 / dx)):
-        w = nls.strang_step(w, b, sponge, cfg)
+        w = nls.strang_step(w, b, sponge, stepper, stepper.dt)
         mass = discrete_inner_product(mesh, w.psi, w.psi).real
         monotone &= mass <= mass_prev * (1 + 1e-12)
         mass_prev = mass

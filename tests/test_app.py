@@ -318,6 +318,10 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     # finite values whose element count 2*half_width/(dx_over_eps*eps) is not finite
     ("domain.half_width", [], {"domain": {"half_width": 1e307, "boundary": "neumann"}}),
     ("physics.eps", ["--eps", "1e-310"], {}),
+    # inf/inf: a count that is nan, not inf
+    ("domain.half_width", [], {"physics": {"g": 1.0, "eps": 1e10},
+                               "domain": {"half_width": 1e308, "boundary": "neumann"},
+                               "discretization": {"dx_over_eps": 1e300}}),
     # a sponge layer whose element count is not finite
     ("sponge.omega", [], {"domain": {"half_width": 1.0, "boundary": "sponge_neumann"},
                           "sponge": {"omega": 1e-320}}),
@@ -328,10 +332,12 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
                           "sponge": {"omega": 1e-300}}),
     ("domain.half_width", [], {"domain": {"half_width": 1e300, "boundary": "neumann"}}),
     ("domain.half_width", [], {"domain": {"half_width": 1e300, "boundary": "periodic"}}),
+    # a mesh an array can hold but memory cannot: 4e15 nodes, refused at once
+    ("physics.eps", ["--eps", "1e-14"], {}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
         "half_width_beyond_float", "element_count_half_width", "element_count_eps",
-        "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
-        "mesh_size_half_width", "mesh_size_periodic"])
+        "element_count_nan", "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
+        "mesh_size_half_width", "mesh_size_periodic", "mesh_beyond_memory"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)

@@ -6,7 +6,7 @@ from swnls.diagnostics import (EnergyReport, convergence_order, energy,
                                error_norm, windowed_norm)
 from swnls.madelung import WaveField, recover
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, discrete_inner_product
-from swnls.nls import SolverConfig, strang_step
+from swnls.nls import Stepper, strang_step
 
 
 def test_energy_constant_field():
@@ -54,10 +54,10 @@ def test_mass_conserved_over_run_without_damping():
         1j * 0.2 * np.sin(np.pi * m.coords) / eps)
     w = WaveField(m, psi, eps)
     b = np.zeros(m.num_nodes)
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.005)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.005)
     m0 = energy(w, b, 1.0).mass
     for _ in range(200):
-        w = strang_step(w, b, None, cfg)
+        w = strang_step(w, b, None, stepper, 0.005)
     assert abs(energy(w, b, 1.0).mass - m0) <= 1e-10 * m0
 
 
@@ -68,10 +68,10 @@ def test_mass_monotone_under_damping():
     psi = np.exp(-m.coords**2 / 0.08) * np.exp(1j * m.coords / eps)
     w = WaveField(m, psi.astype(complex), eps)
     b = np.zeros(m.num_nodes)
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.0025)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.0025)
     masses = [discrete_inner_product(m, w.psi, w.psi).real]
     for _ in range(100):
-        w = strang_step(w, b, sponge, cfg)
+        w = strang_step(w, b, sponge, stepper, 0.0025)
         masses.append(discrete_inner_product(m, w.psi, w.psi).real)
     masses = np.array(masses)
     assert np.all(masses[1:] <= masses[:-1] * (1 + 1e-12))
@@ -86,11 +86,11 @@ def test_energy_drift_scales_with_dt_squared():
     drifts = []
     for dt in (0.01, 0.005):
         w = WaveField(m, psi0.copy(), eps)
-        cfg = SolverConfig(g=1.0, eps=eps, dt=dt)
+        stepper = Stepper(m, g=1.0, eps=eps, dt=dt)
         e0 = energy(w, b, 1.0).total
         worst = 0.0
         for _ in range(round(0.5 / dt)):
-            w = strang_step(w, b, None, cfg)
+            w = strang_step(w, b, None, stepper, dt)
             worst = max(worst, abs(energy(w, b, 1.0).total - e0) / abs(e0))
         drifts.append(worst)
     ratio = drifts[0] / drifts[1]

@@ -9,8 +9,7 @@ from swnls.app import (BOUNDARY_SPONGE, DomainSpec, OutputSpec, RiemannInitSpec,
                        SpongeSpec)
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, discrete_inner_product
-from swnls.nls import (SolverConfig, _DispersiveOperator, dispersive_step,
-                       potential_half_step, run, strang_step)
+from swnls.nls import Stepper, dispersive_step, potential_half_step, run, strang_step
 
 
 def make_field(mesh, psi, eps):
@@ -70,9 +69,9 @@ def test_build_sponge_profile():
 def test_potential_step_constant_field():
     m = build_mesh(-1.0, 1.0, 10, 1, PERIODIC)
     A, eps, tau = 1.4, 0.1, 0.02
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.04)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.04)
     w = potential_half_step(make_field(m, np.full(m.num_nodes, A), eps),
-                            np.zeros(m.num_nodes), None, cfg, tau)
+                            np.zeros(m.num_nodes), None, stepper, tau)
     expected = A * np.exp(-1j * A**2 * tau / eps)
     assert np.allclose(w.psi, expected, rtol=1e-14)
 
@@ -82,8 +81,8 @@ def test_potential_step_preserves_modulus():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
     b = rng.normal(size=m.num_nodes)
-    cfg = SolverConfig(g=2.0, eps=0.03, dt=0.01)
-    w = potential_half_step(make_field(m, psi, 0.03), b, None, cfg, 0.005)
+    stepper = Stepper(m, g=2.0, eps=0.03, dt=0.01)
+    w = potential_half_step(make_field(m, psi, 0.03), b, None, stepper, 0.005)
     assert np.max(np.abs(np.abs(w.psi) - np.abs(psi))) <= 1e-13 * np.max(np.abs(psi))
 
 
@@ -91,9 +90,9 @@ def test_potential_step_cap_damping_factor():
     m = build_mesh(-1.0, 1.0, 100, 1, NEUMANN)
     sigma = np.random.default_rng(3).uniform(0.0, 3.0, m.num_nodes)
     A, eps, tau = 0.8, 0.05, 0.01
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.02)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.02)
     w = potential_half_step(make_field(m, np.full(m.num_nodes, A), eps),
-                            np.zeros(m.num_nodes), sigma, cfg, tau)
+                            np.zeros(m.num_nodes), sigma, stepper, tau)
     expected = A * np.exp(-sigma * tau / eps)
     assert np.allclose(np.abs(w.psi), expected, rtol=1e-13)
 
@@ -103,8 +102,8 @@ def test_potential_step_cap_damping_factor():
 
 def test_dispersive_step_constant_unchanged():
     m = build_mesh(-1.0, 1.0, 16, 2, PERIODIC)
-    cfg = SolverConfig(g=1.0, eps=0.1, dt=0.01)
-    w = dispersive_step(make_field(m, np.full(m.num_nodes, 2.0 + 1.0j), 0.1), m, cfg)
+    stepper = Stepper(m, g=1.0, eps=0.1, dt=0.01)
+    w = dispersive_step(make_field(m, np.full(m.num_nodes, 2.0 + 1.0j), 0.1), m, stepper, 0.01)
     assert np.allclose(w.psi, 2.0 + 1.0j, rtol=1e-13)
 
 
@@ -114,8 +113,8 @@ def test_dispersive_step_eigenvector_amplification():
     lam, V = scipy.linalg.eigh(m.stiffness.toarray(), np.diag(m.mass))
     j = 5
     v = V[:, j].astype(complex)
-    cfg = SolverConfig(g=1.0, eps=eps, dt=dt)
-    w = dispersive_step(make_field(m, v, eps), m, cfg)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=dt)
+    w = dispersive_step(make_field(m, v, eps), m, stepper, dt)
     beta = eps * lam[j] * dt / 4.0
     r = (1 - 1j * beta) / (1 + 1j * beta)
     assert np.max(np.abs(w.psi - r * v)) <= 1e-13
@@ -127,9 +126,9 @@ def test_dispersive_step_norm_conservation(topology):
     m = build_mesh(-2.0, 2.0, 300, 1, topology)
     rng = np.random.default_rng(8)
     psi = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
-    cfg = SolverConfig(g=1.0, eps=0.05, dt=0.003)
+    stepper = Stepper(m, g=1.0, eps=0.05, dt=0.003)
     n0 = norm_h(m, psi)
-    w = dispersive_step(make_field(m, psi, 0.05), m, cfg)
+    w = dispersive_step(make_field(m, psi, 0.05), m, stepper, 0.003)
     assert abs(norm_h(m, w.psi) - n0) <= 1e-12 * n0
 
 
@@ -151,17 +150,26 @@ def test_dispersive_solve_column_ordering(topology, degree, ordering):
     rng = np.random.default_rng(3)
     psi = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
     rhs = ((1j * a) * M + c * m.stiffness) @ psi
-    got = _DispersiveOperator(m, eps, tau).apply(psi)
+    got = Stepper(m, g=1.0, eps=eps, dt=tau).solve(psi, tau)
     dense = np.linalg.solve(A.toarray(), rhs)
     assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
     assert np.array_equal(got, spla.splu(A, permc_spec=ordering).solve(rhs))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(g=1.0, eps=0.1, dt=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(g=-1.0, eps=0.1, dt=0.01)
+def test_stepper_validation():
+    m = build_mesh(-1.0, 1.0, 10, 1, PERIODIC)
+    for g, eps, dt, name in ((1.0, 0.1, 0.0, "dt"), (-1.0, 0.1, 0.01, "g"),
+                             (1.0, 0.0, 0.01, "eps"), (1.0, 0.1, np.nan, "dt")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            Stepper(m, g=g, eps=eps, dt=dt)
+
+
+def test_dispersive_step_refuses_a_foreign_mesh():
+    m = build_mesh(-1.0, 1.0, 10, 1, PERIODIC)
+    other = build_mesh(-1.0, 1.0, 10, 1, PERIODIC)
+    stepper = Stepper(m, g=1.0, eps=0.1, dt=0.01)
+    with pytest.raises(ValueError, match="mesh"):
+        dispersive_step(make_field(other, np.ones(other.num_nodes), 0.1), other, stepper, 0.01)
 
 
 # --- Strang step ----------------------------------------------------------------
@@ -171,11 +179,11 @@ def test_strang_constant_solution():
     # spatially constant fields solve the full equation analytically
     m = build_mesh(-1.0, 1.0, 20, 1, PERIODIC)
     A, eps = 1.1, 0.07
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.004)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.004)
     w = make_field(m, np.full(m.num_nodes, A), eps)
     b = np.zeros(m.num_nodes)
     for _ in range(25):
-        w = strang_step(w, b, None, cfg)
+        w = strang_step(w, b, None, stepper, 0.004)
     expected = A * np.exp(-1j * A**2 * w.time / eps)
     assert np.allclose(w.psi, expected, rtol=1e-12)
     assert w.time == pytest.approx(25 * 0.004)
@@ -192,10 +200,10 @@ def test_strang_second_order_on_plane_wave():
     psi_exact = A * np.exp(1j * (kappa * m.coords - mu * T) / eps)
     errs = []
     for nsteps in (100, 200):
-        cfg = SolverConfig(g=g, eps=eps, dt=T / nsteps)
+        stepper = Stepper(m, g=g, eps=eps, dt=T / nsteps)
         w = make_field(m, psi0, eps)
         for _ in range(nsteps):
-            w = strang_step(w, b, None, cfg)
+            w = strang_step(w, b, None, stepper, stepper.dt)
         errs.append(np.sqrt(norm_h(m, w.psi - psi_exact)))
     ratio = errs[0] / errs[1]
     assert 3.4 <= ratio <= 4.6, ratio
@@ -204,13 +212,13 @@ def test_strang_second_order_on_plane_wave():
 def test_strang_mass_decays_under_global_damping():
     m = build_mesh(-1.0, 1.0, 50, 1, PERIODIC)
     eps = 0.1
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.01)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.01)
     # damping active everywhere: build the profile by hand
     sponge = np.full(m.num_nodes, 0.5)
     w = make_field(m, np.full(m.num_nodes, 1.0), eps)
     masses = [norm_h(m, w.psi)]
     for _ in range(20):
-        w = strang_step(w, np.zeros(m.num_nodes), sponge, cfg)
+        w = strang_step(w, np.zeros(m.num_nodes), sponge, stepper, 0.01)
         masses.append(norm_h(m, w.psi))
     assert np.all(np.diff(masses) < 0.0)
 
@@ -221,15 +229,15 @@ def test_time_reversal_symmetry():
     eps = 0.1
     x = m.coords
     psi0 = np.sqrt(1 + 0.3 * np.cos(np.pi * x)) * np.exp(1j * 0.2 * np.sin(np.pi * x) / eps)
-    cfg = SolverConfig(g=1.0, eps=eps, dt=0.005)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=0.005)
     b = np.zeros(m.num_nodes)
     w = make_field(m, psi0, eps)
     n = 20
     for _ in range(n):
-        w = strang_step(w, b, None, cfg)
+        w = strang_step(w, b, None, stepper, 0.005)
     for _ in range(n):
         w = w.copy_with(np.conj(w.psi))
-        w = strang_step(w, b, None, cfg)
+        w = strang_step(w, b, None, stepper, 0.005)
         w = w.copy_with(np.conj(w.psi))
     rel = np.linalg.norm(w.psi - psi0) / np.linalg.norm(psi0)
     assert rel <= 1e-8, rel
@@ -247,7 +255,7 @@ class _ToyScenario:
     def __init__(self, times=(0.0,), nan_init=False, dt=0.01):
         self.output = type("O", (), {"times": times})()
         self._nan = nan_init
-        self._dt = dt
+        self.dt = dt
         self.eps = 0.1
         self.g = 1.0
 
@@ -259,9 +267,6 @@ class _ToyScenario:
 
     def sponge_profile(self, mesh):
         return None
-
-    def solver_config(self):
-        return SolverConfig(g=self.g, eps=self.eps, dt=self._dt)
 
     def initial_field(self, mesh):
         psi = np.full(mesh.num_nodes, np.nan if self._nan else 1.0, dtype=complex)
@@ -294,31 +299,37 @@ def test_run_aborts_on_non_finite_field():
         run(_ToyScenario(times=(0.1,), nan_init=True))
 
 
-def test_run_keeps_only_the_dt_operator():
-    # shortened steps before 0.037, 0.063 and 0.081 are factorized and dropped
-    configs = []
+def test_stepper_factorizes_dt_once_and_each_shortened_step(monkeypatch):
+    from swnls import nls
+    factorizations, taus = [], []
+    real_splu, real_step = spla.splu, nls.strang_step
 
-    class Recording(_ToyScenario):
-        def solver_config(self):
-            configs.append(super().solver_config())
-            return configs[-1]
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return real_splu(*args, **kwargs)
 
-    result = run(Recording(times=(0.037, 0.05, 0.063, 0.081), dt=0.01))
-    (cfg,) = configs
-    op = cfg._dt_operator
-    assert op is not None and op.tau == cfg.dt and op.mesh is result.mesh
+    def recording_step(wave, b, sponge, stepper, tau):
+        taus.append((tau, stepper.dt))
+        return real_step(wave, b, sponge, stepper, tau)
 
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(nls, "strang_step", recording_step)
+    # no output time is a multiple of dt = 0.01: each is reached by a shortened step
+    run(_ToyScenario(times=(0.037, 0.05, 0.063, 0.081), dt=0.01))
+    shortened = sum(tau != dt for tau, dt in taus)
+    assert shortened == 4
+    assert len(factorizations) == 1 + shortened
 
-def test_shortened_step_operator_is_not_kept():
+    # full steps through one stepper reuse its factorization, bit for bit
     m = build_mesh(-1.0, 1.0, 20, 1, PERIODIC)
-    cfg = SolverConfig(g=1.0, eps=0.1, dt=0.01)
+    stepper = Stepper(m, g=1.0, eps=0.1, dt=0.01)
     w = make_field(m, np.exp(1j * np.pi * m.coords), 0.1)
-    full = dispersive_step(w, m, cfg)
-    assert cfg._dt_operator.tau == 0.01
-    kept = cfg._dt_operator
-    short = dispersive_step(w, m, cfg, 0.004)
-    assert cfg._dt_operator is kept
-    assert np.array_equal(dispersive_step(w, m, cfg).psi, full.psi)
+    factorizations.clear()
+    full = dispersive_step(w, m, stepper, 0.01)
+    short = dispersive_step(w, m, stepper, 0.004)
+    assert np.array_equal(dispersive_step(w, m, stepper, 0.01).psi, full.psi)
+    assert np.array_equal(stepper.solve(w.psi, 0.01), full.psi)
+    assert len(factorizations) == 1  # the shortened step's
     assert not np.allclose(short.psi, full.psi)
 
 
@@ -334,7 +345,7 @@ def _perturbation_growth(degree: int) -> float:
     sc = replace(sc, eps=0.04, discretization=replace(sc.discretization, degree=degree))
     m = sc.build_mesh()
     b = sc.bathymetry_values(m.coords)
-    cfg = sc.solver_config()
+    stepper = Stepper(m, sc.g, sc.eps, sc.dt)
     w = sc.initial_field(m)
     noise = np.random.default_rng(0).standard_normal(m.num_nodes)
     p = w.copy_with(w.psi * (1.0 + 1e-14 * noise))
@@ -344,9 +355,9 @@ def _perturbation_growth(degree: int) -> float:
         return np.sqrt(norm_h(m, d) / norm_h(m, w.psi))
 
     start = rel_diff()
-    for _ in range(round(0.6 / cfg.dt)):
-        w = strang_step(w, b, None, cfg)
-        p = strang_step(p, b, None, cfg)
+    for _ in range(round(0.6 / stepper.dt)):
+        w = strang_step(w, b, None, stepper, stepper.dt)
+        p = strang_step(p, b, None, stepper, stepper.dt)
     return rel_diff() / start
 
 
