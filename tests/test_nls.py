@@ -299,20 +299,28 @@ def test_run_aborts_on_non_finite_field():
         run(_ToyScenario(times=(0.1,), nan_init=True))
 
 
-def test_stepper_factorizes_dt_once_and_each_shortened_step(monkeypatch):
-    from swnls import nls
-    factorizations, taus = [], []
-    real_splu, real_step = spla.splu, nls.strang_step
+def _count_factorizations(monkeypatch) -> list:
+    factorizations = []
+    real_splu = spla.splu
 
     def counting_splu(*args, **kwargs):
         factorizations.append(1)
         return real_splu(*args, **kwargs)
 
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return factorizations
+
+
+def test_run_keeps_only_the_dt_operator(monkeypatch):
+    from swnls import nls
+    factorizations = _count_factorizations(monkeypatch)
+    taus = []
+    real_step = nls.strang_step
+
     def recording_step(wave, b, sponge, stepper, tau):
         taus.append((tau, stepper.dt))
         return real_step(wave, b, sponge, stepper, tau)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(nls, "strang_step", recording_step)
     # no output time is a multiple of dt = 0.01: each is reached by a shortened step
     run(_ToyScenario(times=(0.037, 0.05, 0.063, 0.081), dt=0.01))
@@ -320,10 +328,14 @@ def test_stepper_factorizes_dt_once_and_each_shortened_step(monkeypatch):
     assert shortened == 4
     assert len(factorizations) == 1 + shortened
 
+
+def test_shortened_step_operator_is_not_kept(monkeypatch):
     # full steps through one stepper reuse its factorization, bit for bit
+    factorizations = _count_factorizations(monkeypatch)
     m = build_mesh(-1.0, 1.0, 20, 1, PERIODIC)
     stepper = Stepper(m, g=1.0, eps=0.1, dt=0.01)
     w = make_field(m, np.exp(1j * np.pi * m.coords), 0.1)
+    assert len(factorizations) == 1  # the dt system, in the constructor
     factorizations.clear()
     full = dispersive_step(w, m, stepper, 0.01)
     short = dispersive_step(w, m, stepper, 0.004)
