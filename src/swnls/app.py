@@ -40,6 +40,10 @@ _EMIT_BLOCK_ROWS = 1024
 _MAX_NODES = sys.maxsize // 16
 
 
+# Default initial smoothing width delta, in units of eps, of both init recipes.
+DELTA_OVER_EPS = 1.2
+
+
 @dataclass(frozen=True)
 class RiemannInitSpec:
     recipe: ClassVar[str] = "riemann_tanh"
@@ -47,7 +51,7 @@ class RiemannInitSpec:
     u_left: float
     h_right: float
     u_right: float
-    delta_over_eps: float = 1.2
+    delta_over_eps: float = DELTA_OVER_EPS
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class SurfaceInitSpec:
     recipe: ClassVar[str] = "softplus_surface"
     surface: str  # "thacker" or "constant"
     level: float = 1.0
-    delta_over_eps: float = 1.2
+    delta_over_eps: float = DELTA_OVER_EPS
 
 
 @dataclass(frozen=True)
@@ -148,18 +152,16 @@ class Scenario:
             for key, h in (("h_left", self.init.h_left), ("h_right", self.init.h_right)):
                 if h < 0.0:
                     raise ValueError(f"init.{key} must be nonnegative, got {h}")
-            if not self.init.delta_over_eps > 0.0:
-                raise ValueError("init.delta_over_eps must be positive")
         elif isinstance(self.init, SurfaceInitSpec):
             if self.init.surface not in ("thacker", "constant"):
                 raise ValueError(f"init.surface unknown: {self.init.surface!r}")
             if self.init.level != 1.0 and self.init.surface != "constant":
                 raise ValueError(f"'init.level' is read only for surface constant, "
                                  f"not {self.init.surface}")
-            if not self.init.delta_over_eps > 0.0:
-                raise ValueError("init.delta_over_eps must be positive")
         else:
             raise ValueError(f"unsupported init spec {type(self.init).__name__}")
+        if not self.init.delta_over_eps > 0.0:
+            raise ValueError("init.delta_over_eps must be positive")
         kind = self.bathymetry.kind
         if kind not in (FLAT, PARABOLIC, GAUSSIAN_BUMP, TABULATED):
             raise ValueError(f"unknown value for 'bathymetry.kind': {kind!r}")
@@ -435,56 +437,42 @@ def builtin_names() -> list[str]:
 
 
 def builtin_scenario(name: str) -> Scenario:
+    """The named built-in; one shared value, safe since scenarios are frozen."""
     try:
-        factory = _BUILTINS[name]
+        return _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown builtin scenario {name!r}; "
                          f"choose from {', '.join(_BUILTINS)}") from None
-    return factory()
 
 
-def _riemann(name, hL, uL, hR, uR, *, eps=0.01, boundary=BOUNDARY_NEUMANN,
-             half_width=2.0, times=(0.6,), sponge=None, discretization=None):
-    return Scenario(name=name, g=1.0, eps=eps,
-                    init=RiemannInitSpec(hL, uL, hR, uR),
-                    bathymetry=BathymetrySpec(kind=FLAT),
+def _builtin(name, init, *, bathymetry=BathymetrySpec(), boundary=BOUNDARY_NEUMANN,
+             half_width=2.0, eps=0.01, times=(0.6,), sponge=None) -> Scenario:
+    """A built-in scenario: g = 1 and output under out/<name>."""
+    return Scenario(name=name, g=1.0, eps=eps, init=init, bathymetry=bathymetry,
                     domain=DomainSpec(half_width=half_width, boundary=boundary),
                     sponge=sponge,
-                    discretization=discretization or DiscretizationSpec(),
                     output=OutputSpec(times=times, directory=os.path.join("out", name)))
 
 
-_BUILTINS = {
-    "dam_break_dry": lambda: _riemann("dam_break_dry", 1.0, 0.0, 0.0, 0.0),
-    "dam_break_wet": lambda: _riemann("dam_break_wet", 1.0, 0.0, 0.2, 0.0),
-    "vacuum_generation": lambda: _riemann("vacuum_generation", 1.0, -3.0, 2.0, 3.0,
-                                          boundary=BOUNDARY_SPONGE, times=(0.3,),
-                                          sponge=SpongeSpec(omega=3.0)),
-    "oscillating_lake": lambda: Scenario(
-        name="oscillating_lake", g=1.0, eps=0.01,
-        init=SurfaceInitSpec(surface="thacker"),
-        bathymetry=BathymetrySpec(kind=PARABOLIC),
-        domain=DomainSpec(half_width=2.0, boundary=BOUNDARY_NEUMANN),
-        output=OutputSpec(times=(2.0, 3.0, 4.0), directory=os.path.join("out", "oscillating_lake"))),
-    "lake_at_rest_wet": lambda: Scenario(
-        name="lake_at_rest_wet", g=1.0, eps=0.01,
-        init=SurfaceInitSpec(surface="constant", level=1.0),
-        bathymetry=BathymetrySpec(kind=GAUSSIAN_BUMP, b_max=0.9),
-        domain=DomainSpec(half_width=2.0, boundary=BOUNDARY_PERIODIC),
-        output=OutputSpec(times=(1.0,), directory=os.path.join("out", "lake_at_rest_wet"))),
-    "lake_at_rest_dry": lambda: Scenario(
-        name="lake_at_rest_dry", g=1.0, eps=0.01,
-        init=SurfaceInitSpec(surface="constant", level=1.0),
-        bathymetry=BathymetrySpec(kind=GAUSSIAN_BUMP, b_max=1.1),
-        domain=DomainSpec(half_width=2.0, boundary=BOUNDARY_PERIODIC),
-        output=OutputSpec(times=(1.0,), directory=os.path.join("out", "lake_at_rest_dry"))),
+_BUILTINS = {sc.name: sc for sc in (
+    _builtin("dam_break_dry", RiemannInitSpec(1.0, 0.0, 0.0, 0.0)),
+    _builtin("dam_break_wet", RiemannInitSpec(1.0, 0.0, 0.2, 0.0)),
+    _builtin("vacuum_generation", RiemannInitSpec(1.0, -3.0, 2.0, 3.0),
+             boundary=BOUNDARY_SPONGE, times=(0.3,), sponge=SpongeSpec(omega=3.0)),
+    _builtin("oscillating_lake", SurfaceInitSpec(surface="thacker"),
+             bathymetry=BathymetrySpec(kind=PARABOLIC), times=(2.0, 3.0, 4.0)),
+    _builtin("lake_at_rest_wet", SurfaceInitSpec(surface="constant"),
+             bathymetry=BathymetrySpec(kind=GAUSSIAN_BUMP, b_max=0.9),
+             boundary=BOUNDARY_PERIODIC, times=(1.0,)),
+    _builtin("lake_at_rest_dry", SurfaceInitSpec(surface="constant"),
+             bathymetry=BathymetrySpec(kind=GAUSSIAN_BUMP, b_max=1.1),
+             boundary=BOUNDARY_PERIODIC, times=(1.0,)),
     # constant-height plane wave: the only setup with a closed-form wave
     # solution, used for temporal-order verification.  eps must divide the
     # carrier so the phase is periodic on [-pi, pi]: 1/eps integer.
-    "plane_wave": lambda: _riemann("plane_wave", 1.0, 1.0, 1.0, 1.0,
-                                   eps=0.1, boundary=BOUNDARY_PERIODIC,
-                                   half_width=math.pi, times=(1.0,)),
-}
+    _builtin("plane_wave", RiemannInitSpec(1.0, 1.0, 1.0, 1.0), eps=0.1,
+             boundary=BOUNDARY_PERIODIC, half_width=math.pi, times=(1.0,)),
+)}
 
 
 # --- reference sampling and snapshot emission ---------------------------------
@@ -498,16 +486,19 @@ class ReferenceSamples:
     eta: np.ndarray
 
 
+def _riemann_problem(scenario: Scenario) -> tuple[exact.RiemannData, exact.WaveStructure]:
+    """The Riemann problem of a scenario with a Riemann init, and its waves."""
+    init = scenario.init
+    data = exact.RiemannData(init.h_left, init.u_left, init.h_right, init.u_right, scenario.g)
+    return data, exact.classify(data)
+
+
 def reference_samples(scenario: Scenario, x: np.ndarray, t: float) -> ReferenceSamples:
     """Sample the matching dispersionless reference for a scenario, if any."""
     x = np.asarray(x, dtype=float)
     nan = np.full_like(x, np.nan)
     if isinstance(scenario.init, RiemannInitSpec) and scenario.bathymetry.kind == FLAT:
-        data = exact.RiemannData(scenario.init.h_left, scenario.init.u_left,
-                                 scenario.init.h_right, scenario.init.u_right,
-                                 scenario.g)
-        structure = exact.classify(data)
-        h, u = exact.sample_profile(data, structure, x, t)
+        h, u = exact.sample_profile(*_riemann_problem(scenario), x, t)
         return ReferenceSamples(h=h, q=h * u, eta=h)
     if isinstance(scenario.init, SurfaceInitSpec):
         if scenario.init.surface == "thacker" and scenario.bathymetry.kind == PARABOLIC:
@@ -568,10 +559,7 @@ def default_error_window(scenario: Scenario, t: float) -> tuple[float, float]:
     """
     L = scenario.domain.half_width
     if scenario.name == "dam_break_wet" and isinstance(scenario.init, RiemannInitSpec):
-        data = exact.RiemannData(scenario.init.h_left, scenario.init.u_left,
-                                 scenario.init.h_right, scenario.init.u_right,
-                                 scenario.g)
-        structure = exact.classify(data)
+        _, structure = _riemann_problem(scenario)
         if structure.right_wave == exact.SHOCK:
             return (-1.2, structure.right_head * t - 0.2)
     if scenario.name == "vacuum_generation":
@@ -613,25 +601,40 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
           field_name: str = diagnostics.HEIGHT,
           out_dir: Optional[str] = None) -> tuple[list[tuple[float, float]], float]:
     """Run the scenario at each eps, measure the final-time error in the
-    scenario's default window, and fit the convergence order."""
+    scenario's default window, and fit the convergence order.
+
+    The dispersionless reference and the window do not depend on eps.  A
+    request that cannot give an order is refused before the first run: an eps
+    the scenario rejects, fewer than two eps or a repeated one, or a field
+    without a reference.
+    """
+    try:
+        scenarios = [replace(scenario, eps=eps) for eps in eps_list]
+    except ValueError as err:
+        raise ValueError(f"--eps-list for {scenario.name}: {err}") from None
+    if len(eps_list) < 2 or len(set(eps_list)) < len(eps_list):
+        raise ValueError(f"--eps-list for {scenario.name} must hold at least two "
+                         f"distinct values, got {eps_list}")
+    t_final = scenario.output.times[-1]
+    window = default_error_window(scenario, t_final)
+
+    def ref(x, t):
+        refs = reference_samples(scenario, x, t)
+        return {diagnostics.HEIGHT: refs.h, diagnostics.DISCHARGE: refs.q,
+                diagnostics.SURFACE: refs.eta}[field_name]
+
+    if np.isnan(ref(np.array(window), t_final)).any():
+        raise ValueError(f"--field {field_name}: {scenario.name} has no {field_name} "
+                         f"reference")
     rows = []
-    for eps in eps_list:
-        sc = replace(scenario, eps=eps)
+    for sc in scenarios:
         result = _run(sc)
-        t_final = sc.output.times[-1]
-        wave, hydro = result.snapshots[-1]
-        window = default_error_window(sc, t_final)
-
-        def ref(x, t, _sc=sc):
-            refs = reference_samples(_sc, x, t)
-            return {"height": refs.h, "discharge": refs.q, "surface": refs.eta}[field_name]
-
+        _, hydro = result.snapshots[-1]
         report = diagnostics.error_norm(hydro, ref, window, kind=norm,
                                         field=field_name,
-                                        bathymetry=result.bathymetry,
-                                        tag=f"{sc.name}:exact")
-        rows.append((eps, report.value))
-        print(f"eps={eps:<10g} {norm}({field_name}) over "
+                                        bathymetry=result.bathymetry)
+        rows.append((sc.eps, report.value))
+        print(f"eps={sc.eps:<10g} {norm}({field_name}) over "
               f"[{window[0]:.4g}, {window[1]:.4g}] = {report.value:.6e}")
     order = diagnostics.convergence_order(rows)
     if out_dir:
@@ -707,8 +710,6 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         except ValueError:
             raise ValueError(f"--eps-list must be comma-separated numbers, "
                              f"got {args.eps_list!r}") from None
-        if not eps_list:
-            raise ValueError("--eps-list must contain at least one value")
         sweep(scenario, eps_list, norm=args.norm, field_name=args.field,
               out_dir=args.out)
         return 0

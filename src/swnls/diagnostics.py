@@ -9,7 +9,7 @@ requested window so that weighted norms equal the restricted quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,16 +36,11 @@ class EnergyReport:
     mass: float
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """A windowed norm of (numerical - reference) for one field."""
+class ErrorReport(NamedTuple):
+    """A windowed norm and the total length of the elements it covers."""
 
-    kind: str
-    window: tuple[float, float]
-    field: str
     value: float
-    measure: float  # total length of the elements included in the window
-    tag: str = "reference"
+    measure: float
 
 
 def energy(wave: WaveField, b: np.ndarray, g: float) -> EnergyReport:
@@ -87,12 +82,11 @@ def _window_elements(mesh, lo: float, hi: float) -> np.ndarray:
 
 
 def windowed_norm(mesh, diff: np.ndarray, window: tuple[float, float],
-                  kind: str = L1) -> tuple[float, float]:
+                  kind: str = L1) -> ErrorReport:
     """Quadrature-weighted norm of a nodal field over the window.
 
-    Returns (value, measure) where measure is the covered length.  L1 and L2
-    weight nodal values with the element quadrature (the restricted mass
-    diagonal); Linf is a nodal max.
+    L1 and L2 weight nodal values with the element quadrature (the restricted
+    mass diagonal); Linf is a nodal max.
     """
     lo, hi = window
     elems = _window_elements(mesh, lo, hi)
@@ -100,18 +94,17 @@ def windowed_norm(mesh, diff: np.ndarray, window: tuple[float, float],
     measure = elems.size * mesh.element_length
     wq = 0.5 * mesh.element_length * mesh.rule.weights
     if kind == L1:
-        return float(np.sum(wq * np.abs(vals))), measure
+        return ErrorReport(float(np.sum(wq * np.abs(vals))), measure)
     if kind == L2:
-        return float(np.sqrt(np.sum(wq * np.abs(vals) ** 2))), measure
+        return ErrorReport(float(np.sqrt(np.sum(wq * np.abs(vals) ** 2))), measure)
     if kind == LINF:
-        return float(np.max(np.abs(vals))), measure
+        return ErrorReport(float(np.max(np.abs(vals))), measure)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def error_norm(state: HydroState, ref: Callable, window: tuple[float, float],
                kind: str = L1, field: str = HEIGHT,
-               bathymetry: np.ndarray | None = None,
-               tag: str = "reference") -> ErrorReport:
+               bathymetry: np.ndarray | None = None) -> ErrorReport:
     """Windowed norm of (numerical - reference) for one hydrodynamic field.
 
     ``ref(x, t)`` must return the reference values of the chosen field at the
@@ -137,9 +130,7 @@ def error_norm(state: HydroState, ref: Callable, window: tuple[float, float],
     if ref_vals.shape != num.shape:
         raise ValueError(f"reference shape {ref_vals.shape} does not match "
                          f"node count {num.shape}")
-    value, measure = windowed_norm(mesh, num - ref_vals, window, kind)
-    return ErrorReport(kind=kind, window=(float(lo), float(hi)), field=field,
-                       value=value, measure=measure, tag=tag)
+    return windowed_norm(mesh, num - ref_vals, window, kind)
 
 
 def convergence_order(errors: Sequence[tuple[float, float]]) -> float:

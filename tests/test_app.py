@@ -37,6 +37,24 @@ def test_builtin_list_is_the_documented_seven():
                                "lake_at_rest_dry", "plane_wave"]
 
 
+@pytest.mark.parametrize("name, eps, half_width, boundary, times", [
+    ("dam_break_dry", 0.01, 2.0, BOUNDARY_NEUMANN, (0.6,)),
+    ("dam_break_wet", 0.01, 2.0, BOUNDARY_NEUMANN, (0.6,)),
+    ("vacuum_generation", 0.01, 2.0, BOUNDARY_SPONGE, (0.3,)),
+    ("oscillating_lake", 0.01, 2.0, BOUNDARY_NEUMANN, (2.0, 3.0, 4.0)),
+    ("lake_at_rest_wet", 0.01, 2.0, BOUNDARY_PERIODIC, (1.0,)),
+    ("lake_at_rest_dry", 0.01, 2.0, BOUNDARY_PERIODIC, (1.0,)),
+    ("plane_wave", 0.1, math.pi, BOUNDARY_PERIODIC, (1.0,)),
+])
+def test_builtin_defaults(name, eps, half_width, boundary, times):
+    sc = builtin_scenario(name)
+    assert sc.name == name and sc.g == 1.0 and sc.eps == eps
+    assert sc.domain == DomainSpec(half_width=half_width, boundary=boundary)
+    assert sc.output.times == times
+    assert sc.output.directory == os.path.join("out", name)
+    assert builtin_scenario(name) is sc
+
+
 def test_builtin_dam_break_dry_parameters():
     sc = builtin_scenario("dam_break_dry")
     assert isinstance(sc.init, RiemannInitSpec)
@@ -602,6 +620,25 @@ def test_cli_run_scenario_file(tmp_path):
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path)]) == 0
     assert (tmp_path / "mini_out" / "snapshot_0000.csv").exists()
+
+
+@pytest.mark.parametrize("name, argv, option", [
+    ("dam_break_dry", ["--eps-list", "0.08"], "--eps-list"),
+    ("dam_break_dry", ["--eps-list", "0.08,0.08"], "--eps-list"),
+    ("dam_break_dry", ["--eps-list", "0.08,-1"], "--eps-list"),
+    ("oscillating_lake", ["--eps-list", "0.16,0.08", "--field", "discharge"], "--field"),
+], ids=["one_eps", "repeated_eps", "negative_eps", "field_without_reference"])
+def test_cli_sweep_refuses_before_running(tmp_path, monkeypatch, capsys, name, argv, option):
+    def no_run(scenario):
+        pytest.fail(f"nls.run called at eps={scenario.eps}")
+
+    monkeypatch.setattr(app.nls, "run", no_run)
+    out = tmp_path / "sweep_out"
+    assert cli_main(["sweep", name, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option in err and name in err
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path, capsys):

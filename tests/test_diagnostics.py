@@ -114,6 +114,7 @@ def test_error_norm_constant_offset():
     rep = error_norm(state, lambda x, t: np.ones_like(x), (-1.0, 1.0), kind="L1")
     assert rep.measure == pytest.approx(2.0, rel=1e-12)
     assert rep.value == pytest.approx(c * 2.0, rel=1e-12)
+    assert rep == windowed_norm(m, state.h - 1.0, (-1.0, 1.0), "L1")
 
 
 def test_norm_inequalities():
