@@ -38,6 +38,9 @@ _EMIT_BLOCK_ROWS = 1024
 # Most mesh nodes a run can hold: a complex128 array's byte count must fit in
 # a signed machine word.
 _MAX_NODES = sys.maxsize // 16
+# A sweep error at most this fraction of the numerical field's own norm is
+# rounding, and fits no convergence order.
+_ROUNDING_LEVEL = 1e-10
 
 
 # Default initial smoothing width delta, in units of eps, of both init recipes.
@@ -191,6 +194,16 @@ class Scenario:
             raise ValueError(f"the mesh would have {nodes:.6g} nodes, not a finite count "
                              f"of at most {_MAX_NODES}, the most an array can hold; it is "
                              f"sized by {keys}")
+        if (isinstance(self.init, RiemannInitSpec)
+                and self.domain.boundary == BOUNDARY_PERIODIC):
+            # the initial phase phi0/eps jumps by (u_left + u_right)*half_width/eps
+            # across the periodic seam, which must be n whole turns of 2*pi
+            n = ((self.init.u_left + self.init.u_right) * self.domain.half_width
+                 / (2.0 * math.pi * self.eps))
+            if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))):
+                raise ValueError(f"physics.eps {self.eps!r} breaks the initial phase at "
+                                 f"the periodic seam: (u_left + u_right)*half_width/"
+                                 f"(2*pi*eps) is {n!r} turns, not a whole number")
 
     # --- derived quantities -------------------------------------------------
 
@@ -469,7 +482,8 @@ _BUILTINS = {sc.name: sc for sc in (
              boundary=BOUNDARY_PERIODIC, times=(1.0,)),
     # constant-height plane wave: the only setup with a closed-form wave
     # solution, used for temporal-order verification.  eps must divide the
-    # carrier so the phase is periodic on [-pi, pi]: 1/eps integer.
+    # carrier so the phase is periodic on [-pi, pi]: 1/eps integer, which
+    # Scenario checks.
     _builtin("plane_wave", RiemannInitSpec(1.0, 1.0, 1.0, 1.0), eps=0.1,
              boundary=BOUNDARY_PERIODIC, half_width=math.pi, times=(1.0,)),
 )}
@@ -505,8 +519,9 @@ def reference_samples(scenario: Scenario, x: np.ndarray, t: float) -> ReferenceS
             h, eta = exact.thacker_exact(x, t)
             return ReferenceSamples(h=h, q=nan.copy(), eta=eta)
         if scenario.init.surface == "constant" and scenario.init.level == 1.0:
-            h, u = exact.lake_at_rest_exact(x, scenario.bathymetry_values)
-            return ReferenceSamples(h=h, q=h * u, eta=h + scenario.bathymetry_values(x))
+            b = scenario.bathymetry_values(x)
+            h, u = exact.lake_at_rest_exact(b)
+            return ReferenceSamples(h=h, q=h * u, eta=h + b)
     return ReferenceSamples(h=nan.copy(), q=nan.copy(), eta=nan.copy())
 
 
@@ -599,9 +614,13 @@ def run_and_write(scenario: Scenario, out_dir: Optional[str] = None) -> nls.RunR
 
 def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
           field_name: str = diagnostics.HEIGHT,
-          out_dir: Optional[str] = None) -> tuple[list[tuple[float, float]], float]:
+          out_dir: Optional[str] = None) -> tuple[list[tuple[float, float]], Optional[float]]:
     """Run the scenario at each eps, measure the final-time error in the
     scenario's default window, and fit the convergence order.
+
+    No order (None) is fitted when a run's error is at rounding level, at
+    most ``_ROUNDING_LEVEL`` times the same norm of its numerical field: the
+    slope of such errors measures rounding, not convergence.
 
     The dispersionless reference and the window do not depend on eps.  A
     request that cannot give an order is refused before the first run: an eps
@@ -627,6 +646,7 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
         raise ValueError(f"--field {field_name}: {scenario.name} has no {field_name} "
                          f"reference")
     rows = []
+    rounding = False
     for sc in scenarios:
         result = _run(sc)
         _, hydro = result.snapshots[-1]
@@ -634,14 +654,21 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
                                         field=field_name,
                                         bathymetry=result.bathymetry)
         rows.append((sc.eps, report.value))
+        size = diagnostics.error_norm(hydro, lambda x, t: np.zeros_like(x), window,
+                                      kind=norm, field=field_name,
+                                      bathymetry=result.bathymetry)
+        rounding |= report.value <= _ROUNDING_LEVEL * size.value
         print(f"eps={sc.eps:<10g} {norm}({field_name}) over "
               f"[{window[0]:.4g}, {window[1]:.4g}] = {report.value:.6e}")
-    order = diagnostics.convergence_order(rows)
+    order = None if rounding else diagnostics.convergence_order(rows)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "error_table.csv"),
                    f"eps,error_{norm}_{field_name}", np.array(rows))
-    print(f"fitted convergence order: {order:.3f}")
+    if order is None:
+        print("no convergence order: errors at rounding level")
+    else:
+        print(f"fitted convergence order: {order:.3f}")
     return rows, order
 
 

@@ -17,7 +17,10 @@ structurally symmetric matrix: its solve is several times faster than with
 SuperLU's default ``COLAMD``, at the same fill.  A Neumann matrix keeps
 ``COLAMD``, though the ordering does not make its solve faster or slower: its
 degree >= 2 output is rounding-sensitive at dt = dx, and the degree-2 gate of
-the benchmark pins those digits.
+the benchmark pins those digits.  The cause is the step size, not the degree:
+the stepping amplifies rounding once Q = dt^2 * g * h_max * lambda_max / 4
+exceeds 1, with lambda_max * dx^2 = 4, 24, 74.3 and 183.3 for degrees 1-4, so
+dt = dx gives Q = 6 at degree 2 on a depth-1 state and Q = 1 at degree 1.
 """
 from __future__ import annotations
 

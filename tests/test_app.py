@@ -627,7 +627,10 @@ def test_cli_run_scenario_file(tmp_path):
     ("dam_break_dry", ["--eps-list", "0.08,0.08"], "--eps-list"),
     ("dam_break_dry", ["--eps-list", "0.08,-1"], "--eps-list"),
     ("oscillating_lake", ["--eps-list", "0.16,0.08", "--field", "discharge"], "--field"),
-], ids=["one_eps", "repeated_eps", "negative_eps", "field_without_reference"])
+    # the carrier of a periodic Riemann init must close at the seam: 1/eps whole
+    ("plane_wave", ["--eps-list", "0.3,0.15"], "--eps-list"),
+], ids=["one_eps", "repeated_eps", "negative_eps", "field_without_reference",
+        "periodic_phase_jump"])
 def test_cli_sweep_refuses_before_running(tmp_path, monkeypatch, capsys, name, argv, option):
     def no_run(scenario):
         pytest.fail(f"nls.run called at eps={scenario.eps}")
@@ -650,6 +653,39 @@ def test_cli_sweep(tmp_path, capsys):
     table = (tmp_path / "sweep_out" / "error_table.csv").read_text().splitlines()
     assert table[0] == "eps,error_L1_height"
     assert len(table) == 3
+
+
+def test_cli_sweep_fits_no_order_from_rounding_level_errors(tmp_path, capsys):
+    # the plane wave's height stays 1 to rounding at every eps
+    out = tmp_path / "sweep_out"
+    assert cli_main(["sweep", "plane_wave", "--eps-list", "0.2,0.1", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "no convergence order: errors at rounding level" in printed
+    assert "fitted convergence order" not in printed
+    assert len((out / "error_table.csv").read_text().splitlines()) == 3
+    sc = builtin_scenario("plane_wave")
+    rows, order = app.sweep(sc, [0.2, 0.1])
+    assert order is None and all(0.0 < err < 1e-11 for _, err in rows)
+
+
+def test_periodic_riemann_phase_must_close_at_the_seam(tmp_path, capsys):
+    from dataclasses import replace
+    out = tmp_path / "pw"
+    assert cli_main(["run", "plane_wave", "--eps", "0.3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "physics.eps" in err
+    assert not out.exists()
+    sc = builtin_scenario("plane_wave")
+    for eps in (1.0 / 3.0, 0.05, 0.01):  # 3, 20 and 100 carrier turns
+        assert replace(sc, eps=eps).eps == eps
+    # only the phase is checked: no carrier, or a closed domain, takes any eps
+    replace(sc, eps=0.3, init=RiemannInitSpec(1.0, 1.0, 0.5, -1.0))
+    replace(sc, eps=0.3, domain=DomainSpec(half_width=math.pi, boundary=BOUNDARY_NEUMANN))
+    # a number of turns that overflows is refused with the same message
+    for u in (1e308, -1e308):
+        with pytest.raises(ValueError, match="physics.eps .* turns, not a whole number"):
+            replace(sc, init=RiemannInitSpec(1.0, u, 1.0, u))
 
 
 def test_plane_wave_builtin_end_to_end(tmp_path):

@@ -359,11 +359,11 @@ def test_thacker_periodicity():
 
 def test_lake_at_rest_values():
     bump = lambda bmax: (lambda x: bmax * np.exp(-10.0 * np.asarray(x) ** 2))
-    h, u = lake_at_rest_exact(0.0, bump(0.9))
+    h, u = lake_at_rest_exact(bump(0.9)(0.0))
     assert h == pytest.approx(0.1, rel=1e-12) and u == 0.0
-    h, u = lake_at_rest_exact(0.0, bump(1.1))
+    h, u = lake_at_rest_exact(bump(1.1)(0.0))
     assert h == 0.0 and u == 0.0
-    h, _ = lake_at_rest_exact(2.0, bump(1.1))
+    h, _ = lake_at_rest_exact(bump(1.1)(2.0))
     assert h == pytest.approx(1.0, abs=1e-9)
 
 

@@ -4,6 +4,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swnls.app import (BOUNDARY_SPONGE, DomainSpec, OutputSpec, RiemannInitSpec, Scenario,
                        SpongeSpec)
@@ -122,13 +124,16 @@ def test_dispersive_step_eigenvector_amplification():
 
 
 @pytest.mark.parametrize("topology", [NEUMANN, PERIODIC])
-def test_dispersive_step_norm_conservation(topology):
-    m = build_mesh(-2.0, 2.0, 300, 1, topology)
-    rng = np.random.default_rng(8)
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(1, 4), elements=st.integers(2, 200),
+       eps=st.floats(0.01, 0.2), tau=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
+def test_dispersive_step_norm_conservation(topology, degree, elements, eps, tau, seed):
+    m = build_mesh(-2.0, 2.0, elements, degree, topology)
+    rng = np.random.default_rng(seed)
     psi = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
-    stepper = Stepper(m, g=1.0, eps=0.05, dt=0.003)
+    stepper = Stepper(m, g=1.0, eps=eps, dt=tau)
     n0 = norm_h(m, psi)
-    w = dispersive_step(make_field(m, psi, 0.05), m, stepper, 0.003)
+    w = dispersive_step(make_field(m, psi, eps), m, stepper, tau)
     assert abs(norm_h(m, w.psi) - n0) <= 1e-12 * n0
 
 
