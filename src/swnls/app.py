@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from typing import ClassVar, Optional, Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,6 +45,9 @@ _ROUNDING_LEVEL = 1e-10
 
 # Default initial smoothing width delta, in units of eps, of both init recipes.
 DELTA_OVER_EPS = 1.2
+# The scenario keys whose values must be positive.
+_POSITIVE = ("physics.g", "physics.eps", "init.delta_over_eps", "domain.half_width",
+             "discretization.dx_over_eps", "discretization.dt")
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,34 @@ class OutputSpec:
     directory: str = "out"
 
 
+class MeshLayout(NamedTuple):
+    """A run's mesh, counted exactly: round(2*half_width / (dx_over_eps*eps))
+    interior elements of width dx, at least one, and `layers` more in each
+    absorbing layer, whose width ell spans n_wavelengths carrier periods
+    2*pi*eps/|omega| and whose sigma_max damps one crossing by `reduction`
+    (0, 0.0 and 0.0 without a sponge).  A count whose rounding would overflow
+    stays the float nan or inf, and so does `nodes`."""
+
+    elements: int
+    layers: int
+    dx: float
+    ell: float
+    sigma_max: float
+    nodes: int
+    keys: str  # the scenario keys that size the mesh
+
+
+def _count_text(n) -> str:
+    """n to 6 significant digits; a count beyond the largest float, which "%g"
+    cannot convert when it is an integer, only as beyond it."""
+    return f"over {sys.float_info.max:.6g}" if n > sys.float_info.max else f"{n:.6g}"
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b for a > 0; inf where b is 0, as a product below the smallest float is."""
+    return a / b if b else math.inf
+
+
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Complete problem description; everything a run needs, all serializable.
@@ -119,15 +150,11 @@ class Scenario:
     output: OutputSpec
 
     def __post_init__(self):
-        for key, value in _float_values("physics", self):
+        for key, value in _number_values("physics", self):
             if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
-        if not self.eps > 0.0:
-            raise ValueError(f"physics.eps must be positive, got {self.eps}")
-        if not self.g > 0.0:
-            raise ValueError(f"physics.g must be positive, got {self.g}")
-        if not self.domain.half_width > 0.0:
-            raise ValueError(f"domain.half_width must be positive, got {self.domain.half_width}")
+            if key in _POSITIVE and not value > 0.0:
+                raise ValueError(f"{key} must be positive, got {value}")
         if self.domain.boundary not in (BOUNDARY_NEUMANN, BOUNDARY_PERIODIC, BOUNDARY_SPONGE):
             raise ValueError(f"domain.boundary unknown: {self.domain.boundary!r}")
         if self.domain.boundary == BOUNDARY_SPONGE:
@@ -137,10 +164,9 @@ class Scenario:
                 raise ValueError("sponge.omega must be nonzero")
             if not 0.0 < self.sponge.reduction < 1.0:
                 raise ValueError(f"sponge.reduction must lie in (0,1), got {self.sponge.reduction}")
-            # an integer beyond the largest float cannot size the layer
-            if not 1 <= self.sponge.n_wavelengths <= sys.float_info.max:
-                raise ValueError(f"sponge.n_wavelengths must be >= 1 and a finite "
-                                 f"number, got {self.sponge.n_wavelengths}")
+            if not self.sponge.n_wavelengths >= 1:
+                raise ValueError(f"sponge.n_wavelengths must be >= 1, got "
+                                 f"{self.sponge.n_wavelengths}")
         elif self.sponge is not None:
             raise ValueError("a sponge section is read only with domain.boundary "
                              "sponge_neumann")
@@ -163,8 +189,6 @@ class Scenario:
                                  f"not {self.init.surface}")
         else:
             raise ValueError(f"unsupported init spec {type(self.init).__name__}")
-        if not self.init.delta_over_eps > 0.0:
-            raise ValueError("init.delta_over_eps must be positive")
         kind = self.bathymetry.kind
         if kind not in (FLAT, PARABOLIC, GAUSSIAN_BUMP, TABULATED):
             raise ValueError(f"unknown value for 'bathymetry.kind': {kind!r}")
@@ -185,15 +209,13 @@ class Scenario:
                                      f"{TABULATED}, not {kind}")
         if not 1 <= self.discretization.degree <= meshmod.MAX_DEGREE:
             raise ValueError(f"discretization.degree out of range: {self.discretization.degree}")
-        if not self.discretization.dx_over_eps > 0.0:
-            raise ValueError("discretization.dx_over_eps must be positive")
-        if self.discretization.dt is not None and not self.discretization.dt > 0.0:
-            raise ValueError(f"discretization.dt must be positive, got {self.discretization.dt}")
-        nodes, keys = self._mesh_size()
-        if not nodes <= _MAX_NODES:
-            raise ValueError(f"the mesh would have {nodes:.6g} nodes, not a finite count "
-                             f"of at most {_MAX_NODES}, the most an array can hold; it is "
-                             f"sized by {keys}")
+        lay = self.layout()  # exact counts, nan or inf where rounding would overflow
+        least = 2 if self.domain.boundary == BOUNDARY_PERIODIC else 1
+        if not (lay.nodes <= _MAX_NODES and lay.elements >= least):
+            raise ValueError(f"the mesh would have {_count_text(lay.nodes)} nodes and "
+                             f"{lay.elements:.6g} interior elements, but a mesh holds at "
+                             f"most {_MAX_NODES} nodes (the most an array can) and a "
+                             f"periodic one at least 2 elements; it is sized by {lay.keys}")
         if (isinstance(self.init, RiemannInitSpec)
                 and self.domain.boundary == BOUNDARY_PERIODIC):
             # the initial phase phi0/eps jumps by (u_left + u_right)*half_width/eps
@@ -211,64 +233,41 @@ class Scenario:
     def delta(self) -> float:
         return self.init.delta_over_eps * self.eps
 
-    def _element_count(self) -> float:
-        return 2.0 * self.domain.half_width / (self.discretization.dx_over_eps * self.eps)
-
-    def interior_elements(self) -> int:
-        return max(1, round(self._element_count()))
+    def layout(self) -> MeshLayout:
+        """The mesh layout, computed on each call."""
+        L = self.domain.half_width
+        count = _quotient(2.0 * L, self.discretization.dx_over_eps * self.eps)
+        elements = max(1, round(count)) if math.isfinite(count) else count
+        dx = 2.0 * L / elements
+        layers, ell, sigma_max = 0, 0.0, 0.0
+        keys = "domain.half_width, discretization.dx_over_eps, discretization.degree, physics.eps"
+        if self.domain.boundary == BOUNDARY_SPONGE:
+            sp = self.sponge
+            ell = sp.n_wavelengths * 2.0 * np.pi * self.eps / abs(sp.omega)
+            sigma_max = float(-_quotient(2.0 * self.eps * abs(sp.omega), ell)
+                              * np.log(sp.reduction))
+            count = _quotient(ell, dx) - 1e-9
+            layers = math.ceil(count) if math.isfinite(count) else count
+            keys += ", sponge.n_wavelengths, sponge.omega"
+        nodes = ((elements + 2 * layers) * self.discretization.degree
+                 + (self.domain.boundary != BOUNDARY_PERIODIC))
+        return MeshLayout(elements, layers, dx, ell, sigma_max, nodes, keys)
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.domain.half_width / self.interior_elements()
+        return self.layout().dx
 
     @property
     def dt(self) -> float:
-        if self.discretization.dt is not None:
-            return self.discretization.dt
-        return self.dx
-
-    def _sponge_width(self) -> float:
-        sp = self.sponge
-        return sp.n_wavelengths * 2.0 * np.pi * self.eps / abs(sp.omega)
-
-    def sponge_geometry(self) -> tuple[float, float, int]:
-        """(ell, sigma_max, layer element count) of each absorbing layer: ell
-        spans n_wavelengths carrier periods 2*pi*eps/|omega|, sigma_max damps
-        one crossing by `reduction`, and the layer is rounded up to whole elements."""
-        sp = self.sponge
-        ell = self._sponge_width()
-        sigma_max = -(2.0 * self.eps * abs(sp.omega) / ell) * np.log(sp.reduction)
-        layers = math.ceil(ell / self.dx - 1e-9)
-        return ell, float(sigma_max), layers
-
-    def _mesh_size(self) -> tuple[float, str]:
-        """The mesh's node count, computed in floating point from the inputs of
-        _mesh_extent before its rounding to whole elements (so nan or inf where
-        they overflow), and the keys that size it."""
-        elements = max(self._element_count(), 1.0)  # max keeps a nan count
-        keys = ("domain.half_width, discretization.dx_over_eps, discretization.degree, "
-                "physics.eps")
-        if self.domain.boundary == BOUNDARY_SPONGE:
-            # two layers of ell/dx elements each, with dx = 2*half_width/elements
-            elements += elements * self._sponge_width() / self.domain.half_width
-            keys += ", sponge.n_wavelengths, sponge.omega"
-        nodes = elements * self.discretization.degree + (self.domain.boundary != BOUNDARY_PERIODIC)
-        return nodes, keys
-
-    def _mesh_extent(self) -> tuple[float, int, str]:
-        """(half-length, element count, topology) of the mesh, sponge layers included."""
-        L = self.domain.half_width
-        m = self.interior_elements()
-        if self.domain.boundary == BOUNDARY_SPONGE:
-            _, _, layers = self.sponge_geometry()
-            return L + layers * self.dx, m + 2 * layers, meshmod.NEUMANN
-        topology = (meshmod.PERIODIC if self.domain.boundary == BOUNDARY_PERIODIC
-                    else meshmod.NEUMANN)
-        return L, m, topology
+        return self.dx if self.discretization.dt is None else self.discretization.dt
 
     def build_mesh(self) -> meshmod.Mesh1D:
-        half, elements, topology = self._mesh_extent()
-        return meshmod.build_mesh(-half, half, elements, self.discretization.degree, topology)
+        lay = self.layout()
+        half = self.domain.half_width + lay.layers * lay.dx
+        topology = (meshmod.PERIODIC if self.domain.boundary == BOUNDARY_PERIODIC
+                    else meshmod.NEUMANN)
+        return meshmod.build_mesh(-half, half, lay.elements + 2 * lay.layers,
+                                  self.discretization.degree, topology)
 
     def bathymetry_values(self, x: np.ndarray) -> np.ndarray:
         spec = self.bathymetry
@@ -279,10 +278,9 @@ class Scenario:
             return x * x
         if spec.kind == GAUSSIAN_BUMP:
             return spec.b_max * np.exp(-10.0 * x * x)
-        if spec.kind == TABULATED:
-            return np.interp(x, np.asarray(spec.x, dtype=float),
-                             np.asarray(spec.values, dtype=float))
-        raise ValueError(f"unknown bathymetry kind {spec.kind!r}")
+        # TABULATED, the one kind left that __post_init__ accepts
+        return np.interp(x, np.asarray(spec.x, dtype=float),
+                         np.asarray(spec.values, dtype=float))
 
     def surface_values(self, x: np.ndarray) -> np.ndarray:
         if not isinstance(self.init, SurfaceInitSpec):
@@ -306,23 +304,23 @@ class Scenario:
         a quintic smoothstep over the layer width ell, sigma_max beyond it."""
         if self.domain.boundary != BOUNDARY_SPONGE:
             return None
-        ell, sigma_max, _ = self.sponge_geometry()
-        s = np.clip((np.abs(m.coords) - self.domain.half_width) / ell, 0.0, 1.0)
-        return sigma_max * s**3 * (6.0 * s * s - 15.0 * s + 10.0)
+        lay = self.layout()
+        s = np.clip((np.abs(m.coords) - self.domain.half_width) / lay.ell, 0.0, 1.0)
+        return lay.sigma_max * s**3 * (6.0 * s * s - 15.0 * s + 10.0)
 
 
-def _float_values(section: str, spec):
-    """(key, value) for each float, or number in a tuple, held by a field of
+def _number_values(section: str, spec):
+    """(key, value) for each number, alone or in a tuple, held by a field of
     the spec dataclass instance `spec` or of the specs nested in it; a nested
     spec's section is its field name, so Scenario's own g and eps are
     "physics"."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if is_dataclass(value):
-            yield from _float_values(f.name, value)
+            yield from _number_values(f.name, value)
         elif isinstance(value, tuple):
             yield from ((f"{section}.{f.name}", v) for v in value)
-        elif isinstance(value, float):
+        elif isinstance(value, (int, float)):
             yield f"{section}.{f.name}", value
 
 
@@ -557,10 +555,10 @@ def emit_snapshot(state: tuple, refs: ReferenceSamples, path: str, *,
 
 
 def interior_mask(scenario: Scenario, m: meshmod.Mesh1D) -> np.ndarray:
-    if scenario.domain.boundary != BOUNDARY_SPONGE:
-        return np.ones(m.num_nodes, dtype=bool)
-    L = scenario.domain.half_width
-    return np.abs(m.coords) <= L + 1e-9 * max(1.0, L)
+    """True at the nodes of the interior elements, False in the sponge layers."""
+    lay = scenario.layout()
+    i = np.arange(m.num_nodes) - lay.layers * m.degree
+    return (0 <= i) & (i <= lay.elements * m.degree)
 
 
 def default_error_window(scenario: Scenario, t: float) -> tuple[float, float]:
@@ -587,9 +585,9 @@ def _run(scenario: Scenario) -> nls.RunResult:
     try:
         return nls.run(scenario)
     except MemoryError as err:
-        nodes, keys = scenario._mesh_size()
-        raise MemoryError(f"out of memory for a mesh of {nodes:.6g} nodes, sized by "
-                          f"{keys}: {err}") from None
+        lay = scenario.layout()
+        raise MemoryError(f"out of memory for a mesh of {lay.nodes:.6g} nodes, sized by "
+                          f"{lay.keys}: {err}") from None
 
 
 def run_and_write(scenario: Scenario, out_dir: Optional[str] = None) -> nls.RunResult:
@@ -635,7 +633,10 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
         raise ValueError(f"--eps-list for {scenario.name} must hold at least two "
                          f"distinct values, got {eps_list}")
     t_final = scenario.output.times[-1]
-    window = default_error_window(scenario, t_final)
+    window = lo, hi = default_error_window(scenario, t_final)
+    if not -scenario.domain.half_width <= lo < hi <= scenario.domain.half_width:
+        raise ValueError(f"{scenario.name}: its error window [{lo:.4g}, {hi:.4g}] is not "
+                         f"inside domain.half_width {scenario.domain.half_width:g}")
 
     def ref(x, t):
         refs = reference_samples(scenario, x, t)

@@ -63,7 +63,7 @@ def test_builtin_dam_break_dry_parameters():
     assert sc.output.times == (0.6,)
     assert sc.g == 1.0 and sc.eps == 0.01
     # resolution contract dx = 0.05*eps, dt = dx
-    assert sc.interior_elements() == 8000
+    assert sc.layout().elements == 8000
     assert sc.dt == sc.dx
     assert round(sc.output.times[-1] / sc.dt) == 1200
 
@@ -76,9 +76,49 @@ def test_builtin_vacuum_generation_parameters():
     assert sc.sponge.reduction == 1e-6
     assert sc.output.times == (0.3,)
     assert sc.domain.half_width == 2.0
-    ell, sigma_max, layers = sc.sponge_geometry()
+    lay = sc.layout()
+    ell, sigma_max, layers = lay.ell, lay.sigma_max, lay.layers
     assert ell == pytest.approx(16 * 2 * math.pi * 0.01 / 3.0, rel=1e-15)
     assert layers * sc.dx >= ell - 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1, 4, 8])
+@pytest.mark.parametrize("name", builtin_names())
+def test_layout_counts_the_mesh_it_builds(name, scale, degree):
+    from dataclasses import replace
+    sc = builtin_scenario(name)
+    disc = replace(sc.discretization, degree=degree)
+    if name == "plane_wave":
+        # its carrier closes at the seam only for 1/eps whole: coarsen dx_over_eps,
+        # which gives the mesh of eps*scale
+        sc = replace(sc, discretization=replace(disc, dx_over_eps=disc.dx_over_eps * scale))
+    else:
+        sc = replace(sc, eps=sc.eps * scale, discretization=disc)
+    m = sc.build_mesh()
+    lay = sc.layout()
+    assert lay.nodes == m.num_nodes
+    interior = app.interior_mask(sc, m)
+    if sc.domain.boundary != BOUNDARY_SPONGE:
+        assert interior.all()
+        return
+    # the interior's end nodes round to within an ulp or two of -L and L
+    L = sc.domain.half_width
+    np.testing.assert_array_equal(interior, np.abs(m.coords) <= L + 1e-9 * lay.dx)
+    assert np.abs(np.abs(m.coords[interior][[0, -1]]) - L).max() <= 4 * np.spacing(L)
+
+
+@pytest.mark.parametrize("name, eps", [("lake_at_rest_dry", "100"), ("plane_wave", "1e300")])
+def test_periodic_mesh_of_one_element_is_refused(tmp_path, capsys, name, eps):
+    out = tmp_path / "out"
+    assert cli_main(["run", name, "--eps", eps, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1 interior elements" in err and "at least 2 elements" in err
+    for key in ("domain.half_width", "discretization.dx_over_eps", "discretization.degree",
+                "physics.eps"):
+        assert key in err
+    assert not out.exists()
 
 
 def test_builtin_lake_scenarios():
@@ -308,6 +348,9 @@ _SURFACE = {"init": {"recipe": "softplus_surface", "surface": "constant"}}
     ("discretization.dt", 0.0, {}),
     ("discretization.dt", -0.01, {}),
     ("init.level", 2.0, {"init": {"recipe": "softplus_surface", "surface": "thacker"}}),
+    # a periodic mesh of one element: 2*half_width/(dx_over_eps*eps) rounds to 1 or 0
+    ("physics.eps", 100.0, {"domain": {"half_width": 1.0, "boundary": "periodic"}}),
+    ("physics.eps", 1e300, {"domain": {"half_width": 1.0, "boundary": "periodic"}}),
 ])
 def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, sections):
     doc = json.loads(MINIMAL_DOC)
@@ -352,10 +395,17 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     ("domain.half_width", [], {"domain": {"half_width": 1e300, "boundary": "periodic"}}),
     # a mesh an array can hold but memory cannot: 4e15 nodes, refused at once
     ("physics.eps", ["--eps", "1e-14"], {}),
+    # dx_over_eps*eps below the smallest float: an element count of inf, not 2/0
+    ("physics.eps", ["--eps", "5e-324"], {}),
+    # a finite element count whose node count (degree 4) is an integer beyond
+    # the largest float, which "%g" cannot format
+    ("domain.half_width", [], {"domain": {"half_width": 1e305, "boundary": "neumann"},
+                               "discretization": {"degree": 4}}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
         "half_width_beyond_float", "element_count_half_width", "element_count_eps",
         "element_count_nan", "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
-        "mesh_size_half_width", "mesh_size_periodic", "mesh_beyond_memory"])
+        "mesh_size_half_width", "mesh_size_periodic", "mesh_beyond_memory",
+        "element_width_underflow", "node_count_beyond_float"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)
@@ -384,6 +434,21 @@ def test_scenario_rejects_non_finite_fields(builtin, key, value):
     sc = builtin_scenario(builtin)
     section, name = key.split(".")
     with pytest.raises(ValueError, match=re.escape(key)):
+        if section == "physics":
+            replace(sc, **{name: value})
+        else:
+            replace(sc, **{section: replace(getattr(sc, section), **{name: value})})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("physics.eps", 0), ("physics.eps", -1), ("physics.g", 0), ("discretization.dt", 0),
+])
+def test_scenario_refuses_nonpositive_integers(field, value):
+    # a Scenario built in code may hold an int where the file holds a float
+    from dataclasses import replace
+    sc = builtin_scenario("dam_break_dry")
+    section, name = field.split(".")
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be positive")):
         if section == "physics":
             replace(sc, **{name: value})
         else:
@@ -641,6 +706,26 @@ def test_cli_sweep_refuses_before_running(tmp_path, monkeypatch, capsys, name, a
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert option in err and name in err
+    assert not out.exists()
+
+
+def test_cli_sweep_refuses_a_window_outside_the_domain(tmp_path, monkeypatch, capsys):
+    # the window of vacuum_generation is [-1.5, 1.5], chosen by name
+    from dataclasses import replace
+    sc = builtin_scenario("vacuum_generation")
+    sc = replace(sc, domain=replace(sc.domain, half_width=1.0))
+    path = tmp_path / "vacuum_generation.json"
+    path.write_text(serialize_scenario(sc))
+
+    def no_run(scenario):
+        pytest.fail(f"nls.run called at eps={scenario.eps}")
+
+    monkeypatch.setattr(app.nls, "run", no_run)
+    out = tmp_path / "sweep_out"
+    assert cli_main(["sweep", str(path), "--eps-list", "0.02,0.01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[-1.5, 1.5]" in err and "domain.half_width" in err
     assert not out.exists()
 
 

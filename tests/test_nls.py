@@ -34,7 +34,8 @@ def sponge_scenario(eps, omega, n_wavelengths=16, reduction=1e-6, half_width=2.0
 
 
 def test_sponge_params_reference_values():
-    ell, sigma_max, _ = sponge_scenario(0.01, 3.0, 16, 1e-6).sponge_geometry()
+    lay = sponge_scenario(0.01, 3.0, 16, 1e-6).layout()
+    ell, sigma_max = lay.ell, lay.sigma_max
     assert ell == pytest.approx(16 * 2 * np.pi * 0.01 / 3.0, rel=1e-15)
     assert ell == pytest.approx(0.335, abs=1e-3)
     assert sigma_max == pytest.approx((0.06 / ell) * (-np.log(1e-6)), rel=1e-15)
@@ -42,7 +43,7 @@ def test_sponge_params_reference_values():
 
 
 def test_sponge_params_no_damping_requested():
-    _, sigma_max, _ = sponge_scenario(0.01, 3.0, 16, reduction=1.0 - 1e-12).sponge_geometry()
+    sigma_max = sponge_scenario(0.01, 3.0, 16, reduction=1.0 - 1e-12).layout().sigma_max
     assert sigma_max == pytest.approx(0.0, abs=1e-9)
 
 
@@ -50,7 +51,8 @@ def test_build_sponge_profile():
     # ell = 2*pi*eps/omega = 0.5 and dx = 0.05*eps = 0.005: nodes at L + ell/2 and L + ell
     L = 1.0
     sc = sponge_scenario(0.1, 0.4 * np.pi, n_wavelengths=1, half_width=L)
-    ell, smax, layers = sc.sponge_geometry()
+    lay = sc.layout()
+    ell, smax, layers = lay.ell, lay.sigma_max, lay.layers
     assert ell == pytest.approx(0.5, rel=1e-15) and layers == 100
     m = sc.build_mesh()
     assert m.b == pytest.approx(L + ell, rel=1e-12)
