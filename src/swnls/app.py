@@ -216,6 +216,11 @@ class Scenario:
                              f"{lay.elements:.6g} interior elements, but a mesh holds at "
                              f"most {_MAX_NODES} nodes (the most an array can) and a "
                              f"periodic one at least 2 elements; it is sized by {lay.keys}")
+        if self.domain.boundary == BOUNDARY_SPONGE and not (
+                lay.layers >= 1 and lay.sigma_max <= sys.float_info.max):
+            raise ValueError(f"a sponge layer needs at least 1 element and a finite peak damping, "
+                             f"but has {lay.layers} (width {lay.ell:.6g}) and {lay.sigma_max:.6g}; "
+                             f"it is sized by {lay.keys}, sponge.reduction")
         if (isinstance(self.init, RiemannInitSpec)
                 and self.domain.boundary == BOUNDARY_PERIODIC):
             # the initial phase phi0/eps jumps by (u_left + u_right)*half_width/eps
@@ -282,21 +287,19 @@ class Scenario:
         return np.interp(x, np.asarray(spec.x, dtype=float),
                          np.asarray(spec.values, dtype=float))
 
-    def surface_values(self, x: np.ndarray) -> np.ndarray:
-        if not isinstance(self.init, SurfaceInitSpec):
-            raise ValueError("surface_values requires a surface init")
+    def surface_depth(self, x: np.ndarray) -> np.ndarray:
+        """Initial surface (level or Thacker plane) minus bed, unclipped: < 0 on dry bed."""
         x = np.asarray(x, dtype=float)
-        if self.init.surface == "thacker":
-            return np.maximum(0.5 - math.sqrt(2.0) * x, self.bathymetry_values(x))
-        return np.full_like(x, self.init.level)
+        surface = (0.5 - math.sqrt(2.0) * x if self.init.surface == "thacker"
+                   else self.init.level)
+        return surface - self.bathymetry_values(x)
 
     def initial_field(self, m: meshmod.Mesh1D) -> madelung.WaveField:
         if isinstance(self.init, RiemannInitSpec):
             return madelung.init_riemann(m, self.init.h_left, self.init.u_left,
                                          self.init.h_right, self.init.u_right,
                                          self.delta, self.eps)
-        return madelung.init_softplus_surface(m, self.surface_values,
-                                              self.bathymetry_values,
+        return madelung.init_softplus_surface(m, self.surface_depth(m.coords),
                                               self.delta, self.eps)
 
     def sponge_profile(self, m: meshmod.Mesh1D) -> Optional[np.ndarray]:
@@ -516,9 +519,9 @@ def reference_samples(scenario: Scenario, x: np.ndarray, t: float) -> ReferenceS
         if scenario.init.surface == "thacker" and scenario.bathymetry.kind == PARABOLIC:
             h, eta = exact.thacker_exact(x, t)
             return ReferenceSamples(h=h, q=nan.copy(), eta=eta)
-        if scenario.init.surface == "constant" and scenario.init.level == 1.0:
+        if scenario.init.surface == "constant":
             b = scenario.bathymetry_values(x)
-            h, u = exact.lake_at_rest_exact(b)
+            h, u = exact.lake_at_rest_exact(b, scenario.init.level)
             return ReferenceSamples(h=h, q=h * u, eta=h + b)
     return ReferenceSamples(h=nan.copy(), q=nan.copy(), eta=nan.copy())
 
@@ -734,9 +737,9 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             return 0
         # sweep
         try:
-            eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
+            eps_list = [float(tok) for tok in args.eps_list.split(",")]
         except ValueError:
-            raise ValueError(f"--eps-list must be comma-separated numbers, "
+            raise ValueError(f"--eps-list for {scenario.name} must be comma-separated numbers, "
                              f"got {args.eps_list!r}") from None
         sweep(scenario, eps_list, norm=args.norm, field_name=args.field,
               out_dir=args.out)

@@ -288,7 +288,7 @@ def thacker_exact(x, t: float):
     return eta - b, eta
 
 
-def lake_at_rest_exact(b):
-    """Steady lake at rest over the bed values b: h = (1 - b)_+, u = 0."""
-    h = np.maximum(1.0 - np.asarray(b, dtype=float), 0.0)
+def lake_at_rest_exact(b, level: float):
+    """Lake at rest at surface `level` over the bed values b: h = (level - b)_+, u = 0."""
+    h = np.maximum(level - np.asarray(b, dtype=float), 0.0)
     return h, np.zeros_like(h)

@@ -8,7 +8,6 @@ target hydrodynamic data; recovery inverts the map at the mesh nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -87,18 +86,15 @@ def softplus_depth(surface_minus_bed: np.ndarray, delta: float) -> np.ndarray:
     return delta * (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
 
 
-def init_softplus_surface(mesh: Mesh1D, eta0: Callable[[np.ndarray], np.ndarray],
-                          b: Callable[[np.ndarray], np.ndarray],
-                          delta: float, eps: float) -> WaveField:
-    """Real wave function from a softplus-regularized depth eta0 - b."""
+def init_softplus_surface(mesh: Mesh1D, depth: np.ndarray, delta: float,
+                          eps: float) -> WaveField:
+    """Real wave function sqrt(h0) from the nodal depth surface - bed, negative
+    where the bed is dry, with h0 its softplus regularization over delta."""
     if not delta > 0.0:
         raise ValueError(f"smoothing width delta must be positive, got {delta}")
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    x = mesh.coords
-    h0 = softplus_depth(np.asarray(eta0(x), dtype=float) - np.asarray(b(x), dtype=float),
-                        delta)
-    psi = np.sqrt(h0).astype(complex)
+    psi = np.sqrt(softplus_depth(depth, delta)).astype(complex)
     return WaveField(mesh, psi, float(eps), 0.0)
 
 

@@ -401,11 +401,27 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
     # the largest float, which "%g" cannot format
     ("domain.half_width", [], {"domain": {"half_width": 1e305, "boundary": "neumann"},
                                "discretization": {"degree": 4}}),
+    # a sponge layer whose width ell underflows to 0: 0 elements, peak damping inf
+    ("sponge.omega", [], {"physics": {"g": 1.0, "eps": 1e-300},
+                          "domain": {"half_width": 1e-300, "boundary": "sponge_neumann"},
+                          "discretization": {"dx_over_eps": 1e300},
+                          "sponge": {"omega": 1e30}, "output": {"times": [0.0]}}),
+    # a sponge layer narrower than 1e-9 elements rounds to 0 elements
+    ("sponge.omega", [], {"domain": {"half_width": 1.0, "boundary": "sponge_neumann"},
+                          "sponge": {"omega": 1e13}}),
+    # one layer element, but a peak damping omega^2/(n_wavelengths*pi)*ln(1/reduction)
+    # that overflows to inf
+    ("sponge.omega", [], {"physics": {"g": 1.0, "eps": 1.0},
+                          "domain": {"half_width": 1e-98, "boundary": "sponge_neumann"},
+                          "discretization": {"dx_over_eps": 1e-100},
+                          "sponge": {"omega": 1e200, "n_wavelengths": 10**91},
+                          "output": {"times": [0.0]}}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
         "half_width_beyond_float", "element_count_half_width", "element_count_eps",
         "element_count_nan", "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
         "mesh_size_half_width", "mesh_size_periodic", "mesh_beyond_memory",
-        "element_width_underflow", "node_count_beyond_float"])
+        "element_width_underflow", "node_count_beyond_float", "sponge_width_underflow",
+        "sponge_under_one_element", "sponge_damping_overflow"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)
@@ -494,6 +510,48 @@ def test_main_exits_with_cli_code(monkeypatch, capsys):
             app.main()
         assert exit_info.value.code == code
     assert capsys.readouterr().out.splitlines() == builtin_names()
+
+
+def sponge_scenario(eps, omega, n_wavelengths=16, reduction=1e-6, half_width=2.0):
+    return Scenario(g=1.0, eps=eps, init=RiemannInitSpec(1.0, 0.0, 1.0, 0.0),
+                    domain=DomainSpec(half_width=half_width, boundary=BOUNDARY_SPONGE),
+                    sponge=SpongeSpec(omega=omega, n_wavelengths=n_wavelengths,
+                                      reduction=reduction),
+                    output=OutputSpec(times=(0.0,)))
+
+
+def test_layout_sponge_width_and_peak_damping():
+    lay = sponge_scenario(0.01, 3.0, 16, 1e-6).layout()
+    ell, sigma_max = lay.ell, lay.sigma_max
+    assert ell == pytest.approx(16 * 2 * np.pi * 0.01 / 3.0, rel=1e-15)
+    assert ell == pytest.approx(0.335, abs=1e-3)
+    assert sigma_max == pytest.approx((0.06 / ell) * (-np.log(1e-6)), rel=1e-15)
+    assert sigma_max == pytest.approx(2.4737, abs=1e-4)
+
+
+def test_layout_sponge_without_damping_requested():
+    sigma_max = sponge_scenario(0.01, 3.0, 16, reduction=1.0 - 1e-12).layout().sigma_max
+    assert sigma_max == pytest.approx(0.0, abs=1e-9)
+
+
+def test_sponge_profile_quintic_smoothstep():
+    # ell = 2*pi*eps/omega = 0.5 and dx = 0.05*eps = 0.005: nodes at L + ell/2 and L + ell
+    L = 1.0
+    sc = sponge_scenario(0.1, 0.4 * np.pi, n_wavelengths=1, half_width=L)
+    lay = sc.layout()
+    ell, smax, layers = lay.ell, lay.sigma_max, lay.layers
+    assert ell == pytest.approx(0.5, rel=1e-15) and layers == 100
+    m = sc.build_mesh()
+    assert m.b == pytest.approx(L + ell, rel=1e-12)
+    sigma = sc.sponge_profile(m)
+    x = m.coords
+    assert np.all(sigma[np.abs(x) <= L] == 0.0)
+    assert sigma[np.argmin(np.abs(x - (L + ell)))] == pytest.approx(smax, rel=1e-12)
+    assert sigma[np.argmin(np.abs(x - (L + 0.5 * ell)))] == pytest.approx(0.5 * smax, rel=1e-12)
+    # monotone nondecreasing in |x| on each side
+    right = sigma[x >= 0.0][np.argsort(x[x >= 0.0])]
+    assert np.all(np.diff(right) >= -1e-15)
+    assert np.all(sigma >= 0.0)
 
 
 def test_sponge_boundary_requires_sponge_section():
@@ -643,13 +701,28 @@ def test_default_error_window_for_named_scenarios():
 
 @pytest.mark.parametrize("name", ["lake_at_rest_wet", "lake_at_rest_dry"])
 def test_reference_samples_lake_at_rest(name):
-    sc = builtin_scenario(name)
+    from dataclasses import replace
     x = np.linspace(-2.0, 2.0, 81)
-    b = sc.bathymetry_values(x)
-    refs = reference_samples(sc, x, 1.0)
-    np.testing.assert_array_equal(refs.h, np.maximum(1.0 - b, 0.0))
-    np.testing.assert_array_equal(refs.q, np.zeros_like(x))
-    np.testing.assert_array_equal(refs.eta, refs.h + b)
+    for level in (1.0, 2.0):
+        sc = builtin_scenario(name)
+        sc = replace(sc, init=replace(sc.init, level=level))
+        b = sc.bathymetry_values(x)
+        refs = reference_samples(sc, x, 1.0)
+        np.testing.assert_array_equal(refs.h, np.maximum(level - b, 0.0))
+        np.testing.assert_array_equal(refs.q, np.zeros_like(x))
+        np.testing.assert_array_equal(refs.eta, refs.h + b)
+
+
+def test_oscillating_lake_starts_with_the_exact_mass():
+    # the unclipped depth 1 - (x + 1/sqrt(2))^2 holds 4/3; clipping the surface
+    # at the bed would add a film of delta*ln 2 on the dry bowl
+    from swnls.mesh import discrete_inner_product
+    sc = builtin_scenario("oscillating_lake")
+    assert sc.eps == 0.01
+    m = sc.build_mesh()
+    psi = sc.initial_field(m).psi
+    mass = discrete_inner_product(m, psi, psi).real
+    assert mass == pytest.approx(4.0 / 3.0, rel=1e-3)
 
 
 def test_tabulated_bathymetry():
@@ -694,8 +767,9 @@ def test_cli_run_scenario_file(tmp_path):
     ("oscillating_lake", ["--eps-list", "0.16,0.08", "--field", "discharge"], "--field"),
     # the carrier of a periodic Riemann init must close at the seam: 1/eps whole
     ("plane_wave", ["--eps-list", "0.3,0.15"], "--eps-list"),
+    ("dam_break_dry", ["--eps-list", "0.16,,0.08,"], "--eps-list"),
 ], ids=["one_eps", "repeated_eps", "negative_eps", "field_without_reference",
-        "periodic_phase_jump"])
+        "periodic_phase_jump", "empty_entries"])
 def test_cli_sweep_refuses_before_running(tmp_path, monkeypatch, capsys, name, argv, option):
     def no_run(scenario):
         pytest.fail(f"nls.run called at eps={scenario.eps}")

@@ -359,12 +359,17 @@ def test_thacker_periodicity():
 
 def test_lake_at_rest_values():
     bump = lambda bmax: (lambda x: bmax * np.exp(-10.0 * np.asarray(x) ** 2))
-    h, u = lake_at_rest_exact(bump(0.9)(0.0))
+    h, u = lake_at_rest_exact(bump(0.9)(0.0), 1.0)
     assert h == pytest.approx(0.1, rel=1e-12) and u == 0.0
-    h, u = lake_at_rest_exact(bump(1.1)(0.0))
+    h, u = lake_at_rest_exact(bump(1.1)(0.0), 1.0)
     assert h == 0.0 and u == 0.0
-    h, _ = lake_at_rest_exact(bump(1.1)(2.0))
+    h, _ = lake_at_rest_exact(bump(1.1)(2.0), 1.0)
     assert h == pytest.approx(1.0, abs=1e-9)
+    # a higher lake covers the crest: h = level - b
+    h, u = lake_at_rest_exact(bump(1.1)(0.0), 1.5)
+    assert h == pytest.approx(0.4, rel=1e-12) and u == 0.0
+    h, _ = lake_at_rest_exact(bump(1.1)(0.0), 0.5)
+    assert h == 0.0
 
 
 @pytest.mark.parametrize("d", [RiemannData(1.0, 0.0, 0.2, 0.0, 1.0),

@@ -66,12 +66,17 @@ def test_softplus_depth_limits():
 
 
 def test_softplus_surface_field(mesh):
-    eta0 = lambda x: np.maximum(0.5 - np.sqrt(2.0) * x, x * x)
-    b = lambda x: x * x
-    w = init_softplus_surface(mesh, eta0, b, delta=0.012, eps=0.01)
+    delta = 0.012
+    x = mesh.coords
+    depth = 0.5 - np.sqrt(2.0) * x - x * x  # the oscillating lake at t = 0, unclipped
+    w = init_softplus_surface(mesh, depth, delta=delta, eps=0.01)
     assert np.max(np.abs(w.psi.imag)) == 0.0
     assert np.all(np.abs(w.psi) > 0.0)  # softplus keeps the height positive
     assert w.time == 0.0
+    # deep in the dry region the height decays like delta*exp(depth/delta)
+    dry = depth < -10.0 * delta
+    assert dry.any()
+    assert np.all(np.abs(w.psi[dry]) ** 2 < delta * np.exp(-10.0))
 
 
 def test_recover_vacuum_and_constant(mesh):

@@ -7,8 +7,6 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swnls.app import (BOUNDARY_SPONGE, DomainSpec, OutputSpec, RiemannInitSpec, Scenario,
-                       SpongeSpec)
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, discrete_inner_product
 from swnls.nls import Stepper, dispersive_step, potential_half_step, run, strang_step
@@ -20,51 +18,6 @@ def make_field(mesh, psi, eps):
 
 def norm_h(mesh, psi):
     return discrete_inner_product(mesh, psi, psi).real
-
-
-# --- sponge sizing and profile (app.Scenario) -----------------------------------
-
-
-def sponge_scenario(eps, omega, n_wavelengths=16, reduction=1e-6, half_width=2.0):
-    return Scenario(g=1.0, eps=eps, init=RiemannInitSpec(1.0, 0.0, 1.0, 0.0),
-                    domain=DomainSpec(half_width=half_width, boundary=BOUNDARY_SPONGE),
-                    sponge=SpongeSpec(omega=omega, n_wavelengths=n_wavelengths,
-                                      reduction=reduction),
-                    output=OutputSpec(times=(0.0,)))
-
-
-def test_sponge_params_reference_values():
-    lay = sponge_scenario(0.01, 3.0, 16, 1e-6).layout()
-    ell, sigma_max = lay.ell, lay.sigma_max
-    assert ell == pytest.approx(16 * 2 * np.pi * 0.01 / 3.0, rel=1e-15)
-    assert ell == pytest.approx(0.335, abs=1e-3)
-    assert sigma_max == pytest.approx((0.06 / ell) * (-np.log(1e-6)), rel=1e-15)
-    assert sigma_max == pytest.approx(2.4737, abs=1e-4)
-
-
-def test_sponge_params_no_damping_requested():
-    sigma_max = sponge_scenario(0.01, 3.0, 16, reduction=1.0 - 1e-12).layout().sigma_max
-    assert sigma_max == pytest.approx(0.0, abs=1e-9)
-
-
-def test_build_sponge_profile():
-    # ell = 2*pi*eps/omega = 0.5 and dx = 0.05*eps = 0.005: nodes at L + ell/2 and L + ell
-    L = 1.0
-    sc = sponge_scenario(0.1, 0.4 * np.pi, n_wavelengths=1, half_width=L)
-    lay = sc.layout()
-    ell, smax, layers = lay.ell, lay.sigma_max, lay.layers
-    assert ell == pytest.approx(0.5, rel=1e-15) and layers == 100
-    m = sc.build_mesh()
-    assert m.b == pytest.approx(L + ell, rel=1e-12)
-    sigma = sc.sponge_profile(m)
-    x = m.coords
-    assert np.all(sigma[np.abs(x) <= L] == 0.0)
-    assert sigma[np.argmin(np.abs(x - (L + ell)))] == pytest.approx(smax, rel=1e-12)
-    assert sigma[np.argmin(np.abs(x - (L + 0.5 * ell)))] == pytest.approx(0.5 * smax, rel=1e-12)
-    # monotone nondecreasing in |x| on each side
-    right = sigma[x >= 0.0][np.argsort(x[x >= 0.0])]
-    assert np.all(np.diff(right) >= -1e-15)
-    assert np.all(sigma >= 0.0)
 
 
 # --- potential step -------------------------------------------------------------
