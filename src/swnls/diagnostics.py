@@ -68,14 +68,17 @@ def energy(wave: WaveField, b: np.ndarray, g: float) -> EnergyReport:
 
 
 def _window_elements(mesh, lo: float, hi: float) -> np.ndarray:
-    """Indices of elements fully contained in [lo, hi]."""
+    """Indices of elements fully contained in [lo, hi]; element e spans
+    [a + e*h, a + (e+1)*h], h the element length."""
     if not hi > lo:
         raise ValueError(f"empty window [{lo}, {hi}]")
-    tol = 1e-9 * mesh.element_length
-    xe = mesh.coords[mesh.conn]
-    left = np.minimum(xe[:, 0], xe[:, -1])
-    right = np.maximum(xe[:, 0], xe[:, -1])
-    inside = np.flatnonzero((left >= lo - tol) & (right <= hi + tol))
+    pad = 1e-9 * max(1.0, mesh.b - mesh.a)
+    if lo < mesh.a - pad or hi > mesh.b + pad:
+        raise ValueError(f"window [{lo}, {hi}] outside domain [{mesh.a}, {mesh.b}]")
+    h = mesh.element_length
+    tol = 1e-9 * h
+    edges = mesh.a + np.arange(mesh.num_elements + 1) * h
+    inside = np.flatnonzero((edges[:-1] >= lo - tol) & (edges[1:] <= hi + tol))
     if inside.size == 0:
         raise ValueError(f"window [{lo}, {hi}] contains no whole element")
     return inside
@@ -112,10 +115,6 @@ def error_norm(state: HydroState, ref: Callable, window: tuple[float, float],
     bathymetry to form eta = h + b.
     """
     mesh = state.mesh
-    lo, hi = window
-    pad = 1e-9 * max(1.0, mesh.b - mesh.a)
-    if lo < mesh.a - pad or hi > mesh.b + pad:
-        raise ValueError(f"window [{lo}, {hi}] outside domain [{mesh.a}, {mesh.b}]")
     if field == HEIGHT:
         num = state.h
     elif field == DISCHARGE:

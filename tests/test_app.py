@@ -223,6 +223,27 @@ def test_parse_rejects_missing_and_invalid_values():
         parse_scenario(json.dumps(doc))
 
 
+def test_integer_for_a_float_key_is_kept_as_written(tmp_path):
+    # an integer is a number: it runs as its float does, and is echoed as written
+    def run(doc, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+        return {f: (tmp_path / name / f).read_text()
+                for f in ("snapshot_0000.csv", "diagnostics.csv", "scenario_used.json")}
+
+    doc = json.loads(MINIMAL_DOC)
+    floats = run(doc, "floats")
+    doc["physics"]["g"], doc["domain"]["half_width"], doc["init"]["h_left"] = 1, 1, 1
+    ints = run(doc, "ints")
+    assert ints["snapshot_0000.csv"] == floats["snapshot_0000.csv"]
+    assert ints["diagnostics.csv"] == floats["diagnostics.csv"]
+    used = json.loads(ints["scenario_used.json"])
+    assert (used["physics"]["g"], used["domain"]["half_width"], used["init"]["h_left"]) == (1, 1, 1)
+    assert isinstance(used["physics"]["g"], int)
+    assert parse_scenario(ints["scenario_used.json"]) == parse_scenario(floats["scenario_used.json"])
+
+
 def test_removed_keys_and_solver_flag_are_rejected(tmp_path, capsys):
     for section, key, value in (("discretization", "solver", "direct"),
                                 ("discretization", "solver_tol", 1e-10),
@@ -351,6 +372,10 @@ _SURFACE = {"init": {"recipe": "softplus_surface", "surface": "constant"}}
     # a periodic mesh of one element: 2*half_width/(dx_over_eps*eps) rounds to 1 or 0
     ("physics.eps", 100.0, {"domain": {"half_width": 1.0, "boundary": "periodic"}}),
     ("physics.eps", 1e300, {"domain": {"half_width": 1.0, "boundary": "periodic"}}),
+    # a number where a list is expected, a list of lists where one of numbers is
+    ("output.times", 0.5, {}),
+    ("bathymetry.x", [[0.0], [1.0]], {"bathymetry": {"kind": "tabulated",
+                                                     "values": [0.0, 1.0]}}),
 ])
 def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, sections):
     doc = json.loads(MINIMAL_DOC)
@@ -469,6 +494,27 @@ def test_scenario_refuses_nonpositive_integers(field, value):
             replace(sc, **{name: value})
         else:
             replace(sc, **{section: replace(getattr(sc, section), **{name: value})})
+
+
+@pytest.mark.parametrize("key, change", [
+    ("physics.g", {"g": "1"}),
+    ("physics.eps", {"eps": True}),
+    ("discretization.degree", {"discretization": DiscretizationSpec(degree=2.5)}),
+    ("discretization.degree", {"discretization": DiscretizationSpec(degree=True)}),
+    ("sponge.n_wavelengths", {"sponge": SpongeSpec(omega=3.0, n_wavelengths=2.5)}),
+    ("name", {"name": 5}),
+    ("output.directory", {"output": OutputSpec(times=(0.3,), directory=5)}),
+    ("output.times", {"output": OutputSpec(times=[0.3])}),
+    ("output.times", {"output": OutputSpec(times=("0.3",))}),
+    ("output.times", {"output": OutputSpec(times=(0.3, True))}),
+    ("init", {"init": 5}),
+], ids=["g_string", "eps_bool", "degree_float", "degree_bool", "n_wavelengths_float",
+        "name_int", "directory_int", "times_list", "times_strings", "times_bool", "init_int"])
+def test_scenario_refuses_wrong_types(key, change):
+    # a Scenario built in code is held to the types a scenario file is
+    from dataclasses import replace
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} must be "):
+        replace(builtin_scenario("vacuum_generation"), **change)
 
 
 @pytest.mark.parametrize("case", ["out_below_file", "scenario_is_directory"])
@@ -801,6 +847,37 @@ def test_cli_sweep_refuses_a_window_outside_the_domain(tmp_path, monkeypatch, ca
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "[-1.5, 1.5]" in err and "domain.half_width" in err
     assert not out.exists()
+
+
+def test_cli_sweep_refuses_a_periodic_seam_jump(tmp_path, monkeypatch, capsys):
+    # two different states on a periodic mesh jump again, unsmoothed, at the
+    # seam, which the Riemann reference does not model: no reference at all
+    from dataclasses import replace
+    doc = json.loads(MINIMAL_DOC)
+    doc["name"] = "seam_jump"
+    doc["domain"] = {"half_width": 2.0, "boundary": "periodic"}
+    path = tmp_path / "seam_jump.json"
+    path.write_text(json.dumps(doc))
+
+    def no_run(scenario):
+        pytest.fail(f"nls.run called at eps={scenario.eps}")
+
+    monkeypatch.setattr(app.nls, "run", no_run)
+    out = tmp_path / "sweep_out"
+    assert cli_main(["sweep", str(path), "--eps-list", "0.04,0.02,0.01",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--field height" in err and "seam_jump has no height reference" in err
+    assert not out.exists()
+    sc = parse_scenario(json.dumps(doc))
+    refs = reference_samples(sc, np.linspace(-2.0, 2.0, 9), 0.1)
+    assert np.isnan(refs.h).all() and np.isnan(refs.q).all() and np.isnan(refs.eta).all()
+    # the same states on a Neumann mesh, and equal states on a periodic one, keep theirs
+    neumann = replace(sc, domain=replace(sc.domain, boundary=BOUNDARY_NEUMANN))
+    assert np.isfinite(reference_samples(neumann, np.linspace(-2.0, 2.0, 9), 0.1).h).all()
+    wave = builtin_scenario("plane_wave")
+    assert np.isfinite(reference_samples(wave, np.linspace(-3.0, 3.0, 9), 0.5).h).all()
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -117,6 +117,28 @@ def test_error_norm_constant_offset():
     assert rep == windowed_norm(m, state.h - 1.0, (-1.0, 1.0), "L1")
 
 
+@pytest.mark.parametrize("topology", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("window, measure", [
+    ((1.0, 2.0), 1.0),    # the last element, which wraps to node 0 when periodic
+    ((-2.0, 1.6), 3.5),   # all but the last element
+    ((-2.0, 2.0), 4.0),
+    ((-0.6, 0.6), 1.0),
+], ids=["last_two", "all_but_last", "whole_mesh", "interior"])
+def test_windowed_norm_takes_whole_elements_by_index(topology, window, measure):
+    # 8 elements of width 0.5 on [-2, 2]; element e spans [-2 + e/2, -1.5 + e/2]
+    m = build_mesh(-2.0, 2.0, 8, 1, topology)
+    ones = np.ones(m.num_nodes)
+    assert windowed_norm(m, ones, window, "L1") == pytest.approx((measure, measure), rel=1e-12)
+
+
+@pytest.mark.parametrize("topology", [NEUMANN, PERIODIC])
+@pytest.mark.parametrize("window", [(-5.0, 5.0), (-2.5, 1.0), (1.0, 2.1)])
+def test_windowed_norm_refuses_a_window_outside_the_mesh(topology, window):
+    m = build_mesh(-2.0, 2.0, 8, 1, topology)
+    with pytest.raises(ValueError, match="outside domain"):
+        windowed_norm(m, np.ones(m.num_nodes), window, "L1")
+
+
 def test_norm_inequalities():
     m = build_mesh(-2.0, 2.0, 128, 1, NEUMANN)
     rng = np.random.default_rng(21)
