@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swnls.madelung import WaveField
@@ -52,6 +52,82 @@ def test_potential_step_cap_damping_factor():
                             np.zeros(m.num_nodes), sigma, stepper, tau)
     expected = A * np.exp(-sigma * tau / eps)
     assert np.allclose(np.abs(w.psi), expected, rtol=1e-13)
+
+
+def _complex_exp_half_step(psi, b, sigma, g, eps, tau):
+    """The potential half-step written with the complex exp."""
+    phase = np.exp(-1j * (g / eps) * (np.abs(psi) ** 2 + b) * tau)
+    if sigma is not None:
+        phase = phase * np.exp(-sigma * tau / eps)
+    return phase * psi
+
+
+def _assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype == np.complex128
+    bad = np.nonzero(got.view(np.int64) != expected.view(np.int64))[0]
+    assert bad.size == 0, (bad.size, got.view(float)[bad[:4]], expected.view(float)[bad[:4]])
+
+
+# exact zeros of both signs, subnormals, moduli whose square underflows to 0
+# (the dry side of dam_break_dry) and ordinary values
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-200, 1e-160]),
+                   st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _nodal_fields(draw):
+    """psi, b and sigma at 2 to 40 nodes; sigma up to damping factors that
+    underflow to 0."""
+    n = draw(st.integers(2, 40))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    psi = np.empty(n, dtype=complex)
+    psi.real, psi.imag = column(_parts), column(_parts)
+    b = column(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)))
+    sigma = column(st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+    return psi, b, sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_nodal_fields(), g=st.floats(1e-2, 50.0), eps=st.floats(1e-3, 2.0),
+       dt=st.floats(1e-6, 0.5), shortened=st.floats(0.0, 1.0, exclude_min=True),
+       sponge=st.booleans())
+@example(fields=(np.array([0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(5e-324, -0.0)]),
+                 np.zeros(4), np.zeros(4)),
+         g=1.0, eps=0.02, dt=0.008, shortened=1.0, sponge=False)
+def test_potential_step_bitwise_equals_complex_exp(fields, g, eps, dt, shortened, sponge):
+    # the cos/sin rotation gives the bits of the complex exp, for a half-step
+    # tau = dt/2 and for the shortened step before an output time, with and
+    # without a sponge
+    psi, b, sigma = fields
+    sigma = sigma if sponge else None
+    m = build_mesh(-1.0, 1.0, psi.size - 1, 1, NEUMANN)
+    stepper = Stepper(m, g=g, eps=eps, dt=dt)
+    for tau in (0.5 * dt, 0.5 * (shortened * dt)):
+        w = potential_half_step(make_field(m, psi, eps), b, sigma, stepper, tau)
+        _assert_bitwise_equal(w.psi, _complex_exp_half_step(psi, b, sigma, g, eps, tau))
+
+
+@pytest.mark.parametrize("name", ["dam_break_dry", "vacuum_generation"])
+def test_potential_step_bitwise_equals_complex_exp_on_a_run(name):
+    # the first 30 steps of a dry dam break (exact zeros, then subnormal
+    # moduli on the dry side) and of the sponge run, at tau = dt/2 and at a
+    # shortened step's half
+    from swnls.app import builtin_scenario
+    sc = builtin_scenario(name)
+    m = sc.build_mesh()
+    b = sc.bathymetry_values(m.coords)
+    sigma = sc.sponge_profile(m)
+    stepper = Stepper(m, sc.g, sc.eps, sc.dt)
+    w = sc.initial_field(m)
+    for _ in range(30):
+        for tau in (0.5 * sc.dt, 0.5 * (0.37 * sc.dt)):
+            got = potential_half_step(w, b, sigma, stepper, tau)
+            _assert_bitwise_equal(got.psi, _complex_exp_half_step(w.psi, b, sigma, sc.g,
+                                                                  sc.eps, tau))
+        w = strang_step(w, b, sigma, stepper, sc.dt)
 
 
 # --- dispersive step ------------------------------------------------------------
@@ -257,6 +333,24 @@ def test_run_lands_exactly_on_output_times():
 def test_run_aborts_on_non_finite_field():
     with pytest.raises(RuntimeError, match="step 1"):
         run(_ToyScenario(times=(0.1,), nan_init=True))
+
+
+@pytest.mark.parametrize("part, value", [("imag", np.nan), ("real", np.inf), ("imag", -np.inf)])
+def test_run_aborts_when_one_part_of_one_node_is_non_finite(monkeypatch, part, value):
+    from swnls import nls
+    real_step = nls.strang_step
+    calls = []
+
+    def step(*args):
+        out = real_step(*args)
+        calls.append(1)
+        if len(calls) == 3:
+            getattr(out.psi, part)[17] = value
+        return out
+
+    monkeypatch.setattr(nls, "strang_step", step)
+    with pytest.raises(RuntimeError, match=r"non-finite wave function after step 3 \(t = 0\.03\)"):
+        run(_ToyScenario(times=(0.1,)))
 
 
 def _count_factorizations(monkeypatch) -> list:
