@@ -403,10 +403,21 @@ def _init(section: str, data):
     return spec(**_read(section, rest, spec))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice, of which
+    json.loads would keep the last one."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key '{key}' in scenario document")
+        doc[key] = value
+    return doc
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a JSON scenario document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ValueError(f"scenario document is not valid JSON: {err}") from err
     doc = dict(_object("<top>", doc))
@@ -715,6 +726,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
                 print(name)
             return 0
         scenario = _resolve_scenario(args.scenario)
+        if args.out == "":
+            raise ValueError(f"--out for {scenario.name} must not be empty")
         if args.command == "run":
             if args.eps is not None:
                 scenario = replace(scenario, eps=args.eps)

@@ -1,10 +1,10 @@
 """Conserved-quantity monitors and error measurement.
 
 Energy is evaluated on the wave-function side (gradient form), which stays
-well defined in vacuum; the hydrodynamic split reports the height-gradient
-(Fisher) part from |psi| and attributes the remainder of the gradient term
-to kinetic energy.  Error norms are restricted to whole elements inside the
-requested window so that weighted norms equal the restricted quadrature.
+well defined in vacuum; besides the total it reports the potential part and
+the height-gradient (Fisher) part from |psi|, and no kinetic split.  Error
+norms are restricted to whole elements inside the requested window so that
+weighted norms equal the restricted quadrature.
 """
 from __future__ import annotations
 
@@ -27,9 +27,8 @@ SURFACE = "surface"
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy decomposition and total discrete mass of a wave field."""
+    """Total energy, two of its parts and total discrete mass of a wave field."""
 
-    kinetic: float
     potential: float
     fisher: float
     total: float
@@ -37,17 +36,17 @@ class EnergyReport:
 
 
 class ErrorReport(NamedTuple):
-    """A windowed norm and the total length of the elements it covers."""
+    """A windowed norm."""
 
     value: float
-    measure: float
 
 
 def energy(wave: WaveField, b: np.ndarray, g: float) -> EnergyReport:
-    """Total energy (eps^2/2)|psi_x|^2 + (g/2)|psi|^4 + g*b*|psi|^2 and its split.
+    """Total energy (eps^2/2)|psi_x|^2 + (g/2)|psi|^4 + g*b*|psi|^2, its
+    potential part and its Fisher part (eps^2/2)|(|psi|)_x|^2.
 
     The gradient and Fisher terms are summed elementwise as nonnegative
-    quadrature contributions; kinetic = total - potential - fisher.
+    quadrature contributions.
     """
     mesh = wave.mesh
     eps = wave.eps
@@ -61,10 +60,8 @@ def energy(wave: WaveField, b: np.ndarray, g: float) -> EnergyReport:
 
     potential = float(np.sum(mesh.mass * (0.5 * g * h * h + g * np.asarray(b) * h)))
     total = gradient + potential
-    kinetic = total - potential - fisher
     mass = float(np.sum(mesh.mass * h))
-    return EnergyReport(kinetic=kinetic, potential=potential, fisher=fisher,
-                        total=total, mass=mass)
+    return EnergyReport(potential=potential, fisher=fisher, total=total, mass=mass)
 
 
 def _window_elements(mesh, lo: float, hi: float) -> np.ndarray:
@@ -94,14 +91,13 @@ def windowed_norm(mesh, diff: np.ndarray, window: tuple[float, float],
     lo, hi = window
     elems = _window_elements(mesh, lo, hi)
     vals = diff[mesh.conn[elems]]
-    measure = elems.size * mesh.element_length
     wq = 0.5 * mesh.element_length * mesh.rule.weights
     if kind == L1:
-        return ErrorReport(float(np.sum(wq * np.abs(vals))), measure)
+        return ErrorReport(float(np.sum(wq * np.abs(vals))))
     if kind == L2:
-        return ErrorReport(float(np.sqrt(np.sum(wq * np.abs(vals) ** 2))), measure)
+        return ErrorReport(float(np.sqrt(np.sum(wq * np.abs(vals) ** 2))))
     if kind == LINF:
-        return ErrorReport(float(np.max(np.abs(vals))), measure)
+        return ErrorReport(float(np.max(np.abs(vals))))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

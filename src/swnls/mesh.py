@@ -148,16 +148,6 @@ def build_mesh(a: float, b: float, num_elements: int, degree: int,
                   diff=D, node_multiplicity=multiplicity)
 
 
-def discrete_inner_product(mesh: Mesh1D, u: np.ndarray, v: np.ndarray) -> complex:
-    """Mass-weighted inner product sum_j mass_j * conj(u_j) * v_j."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != (mesh.num_nodes,) or v.shape != (mesh.num_nodes,):
-        raise ValueError(f"vector length mismatch: mesh has {mesh.num_nodes} nodes, "
-                         f"got {u.shape} and {v.shape}")
-    return complex(np.sum(mesh.mass * np.conj(u) * v))
-
-
 def element_derivatives(mesh: Mesh1D, values: np.ndarray) -> np.ndarray:
     """Per-element derivative of the nodal field; entry [e, i] is the one-sided
     derivative at local node i of element e."""

@@ -162,6 +162,24 @@ def test_parse_rejects_unknown_keys():
         parse_scenario(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text, key", [
+    # json.loads alone would keep the last value: a run at g = 2
+    (MINIMAL_DOC.replace('"g": 1.0', '"g": 1.0, "g": 2.0'), "g"),
+    (MINIMAL_DOC.replace('"output"', '"physics": {"g": 2.0, "eps": 0.05},\n  "output"'),
+     "physics"),
+], ids=["in_a_section", "a_section"])
+def test_parse_rejects_duplicate_keys(tmp_path, capsys, text, key):
+    with pytest.raises(ValueError, match=f"duplicate key '{key}'"):
+        parse_scenario(text)
+    path = tmp_path / "duplicate.json"
+    path.write_text(text)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_missing_and_invalid_values():
     doc = json.loads(MINIMAL_DOC)
     del doc["physics"]["eps"]
@@ -441,12 +459,15 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
                           "discretization": {"dx_over_eps": 1e-100},
                           "sponge": {"omega": 1e200, "n_wavelengths": 10**91},
                           "output": {"times": [0.0]}}),
+    # not a number, but refused the same way: an empty --out, which would
+    # otherwise write to output.directory
+    ("--out", ["--out", ""], {}),
 ], ids=["tfinal_nan", "tfinal_inf", "eps_inf", "times_nan", "dt_inf", "u_left_minus_inf",
         "half_width_beyond_float", "element_count_half_width", "element_count_eps",
         "element_count_nan", "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
         "mesh_size_half_width", "mesh_size_periodic", "mesh_beyond_memory",
         "element_width_underflow", "node_count_beyond_float", "sponge_width_underflow",
-        "sponge_under_one_element", "sponge_damping_overflow"])
+        "sponge_under_one_element", "sponge_damping_overflow", "empty_out"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)
@@ -762,12 +783,11 @@ def test_reference_samples_lake_at_rest(name):
 def test_oscillating_lake_starts_with_the_exact_mass():
     # the unclipped depth 1 - (x + 1/sqrt(2))^2 holds 4/3; clipping the surface
     # at the bed would add a film of delta*ln 2 on the dry bowl
-    from swnls.mesh import discrete_inner_product
     sc = builtin_scenario("oscillating_lake")
     assert sc.eps == 0.01
     m = sc.build_mesh()
     psi = sc.initial_field(m).psi
-    mass = discrete_inner_product(m, psi, psi).real
+    mass = np.sum(m.mass * np.abs(psi) ** 2)
     assert mass == pytest.approx(4.0 / 3.0, rel=1e-3)
 
 
@@ -780,6 +800,15 @@ def test_tabulated_bathymetry():
     doc["bathymetry"] = {"kind": "tabulated", "x": [0.0], "values": [0.0]}
     with pytest.raises(ValueError):
         parse_scenario(json.dumps(doc))
+
+
+def test_star_import_binds_exactly_the_public_names():
+    import swnls
+    namespace = {}
+    exec("from swnls import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(swnls.__all__)
+    assert len(set(swnls.__all__)) == len(swnls.__all__)
 
 
 def test_cli_list(capsys):
@@ -814,15 +843,17 @@ def test_cli_run_scenario_file(tmp_path):
     # the carrier of a periodic Riemann init must close at the seam: 1/eps whole
     ("plane_wave", ["--eps-list", "0.3,0.15"], "--eps-list"),
     ("dam_break_dry", ["--eps-list", "0.16,,0.08,"], "--eps-list"),
+    # the last --out wins: an empty one, which would write no error table
+    ("dam_break_dry", ["--eps-list", "0.08,0.04", "--out", ""], "--out"),
 ], ids=["one_eps", "repeated_eps", "negative_eps", "field_without_reference",
-        "periodic_phase_jump", "empty_entries"])
+        "periodic_phase_jump", "empty_entries", "empty_out"])
 def test_cli_sweep_refuses_before_running(tmp_path, monkeypatch, capsys, name, argv, option):
     def no_run(scenario):
         pytest.fail(f"nls.run called at eps={scenario.eps}")
 
     monkeypatch.setattr(app.nls, "run", no_run)
     out = tmp_path / "sweep_out"
-    assert cli_main(["sweep", name, *argv, "--out", str(out)]) == 2
+    assert cli_main(["sweep", name, "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert option in err and name in err

@@ -1,9 +1,9 @@
-"""Gauss-Lobatto rules, mesh assembly and the discrete inner product."""
+"""Gauss-Lobatto rules, mesh assembly and sums over the lumped mass."""
 import numpy as np
 import pytest
 
-from swnls.mesh import (NEUMANN, PERIODIC, build_mesh, discrete_inner_product,
-                        gauss_lobatto, lagrange_diff_matrix, nodal_derivative)
+from swnls.mesh import (NEUMANN, PERIODIC, build_mesh, gauss_lobatto,
+                        lagrange_diff_matrix, nodal_derivative)
 
 
 def test_gauss_lobatto_k1():
@@ -114,35 +114,20 @@ def test_stiffness_properties(k, topology):
 def test_inner_product_examples():
     m = build_mesh(-2.0, 2.0, 4, 1, NEUMANN)
     ones = np.ones(5)
-    assert discrete_inner_product(m, ones, ones) == pytest.approx(4.0, abs=1e-14)
-    assert discrete_inner_product(m, ones, 1j * ones) == pytest.approx(4.0j, abs=1e-14)
+    assert np.sum(m.mass * ones * ones) == pytest.approx(4.0, abs=1e-14)
+    assert np.sum(m.mass * ones * 1j * ones) == pytest.approx(4.0j, abs=1e-14)
     # k=1 quadrature is inexact for x^2 (exact integral 16/3); the lumped sum is 6
-    assert discrete_inner_product(m, m.coords, m.coords) == pytest.approx(6.0, abs=1e-14)
-
-
-def test_inner_product_conjugates_first_argument():
-    m = build_mesh(0.0, 1.0, 3, 2, NEUMANN)
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
-    v = rng.normal(size=m.num_nodes) + 1j * rng.normal(size=m.num_nodes)
-    assert discrete_inner_product(m, u, v) == pytest.approx(
-        np.conj(discrete_inner_product(m, v, u)))
-
-
-def test_inner_product_dimension_error():
-    m = build_mesh(0.0, 1.0, 4, 1, NEUMANN)
-    with pytest.raises(ValueError):
-        discrete_inner_product(m, np.ones(4), np.ones(5))
+    assert np.sum(m.mass * m.coords * m.coords) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_refinement_consistency():
-    # (u, u)_h converges to the true integral of sin^2 at order >= 2
+    # the lumped-mass sum of u^2 converges to the true integral of sin^2 at order >= 2
     exact = 2.0 - 0.5 * np.sin(4.0)
     errs = []
     for M in (20, 40, 80):
         m = build_mesh(-2.0, 2.0, M, 1, NEUMANN)
         u = np.sin(m.coords)
-        errs.append(abs(discrete_inner_product(m, u, u).real - exact))
+        errs.append(abs(np.sum(m.mass * u * u) - exact))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.9), orders
 
