@@ -21,7 +21,7 @@ from typing import ClassVar, NamedTuple, Optional, Union, get_args, get_origin, 
 
 import numpy as np
 
-from . import diagnostics, exact, madelung, mesh as meshmod, nls
+from . import csvtext, diagnostics, exact, madelung, mesh as meshmod, nls
 
 FLAT = "flat"
 PARABOLIC = "parabolic"
@@ -533,16 +533,14 @@ def _write_csv(path: str, header: str, table: np.ndarray) -> None:
     """Write ``header`` and one row per row of the 2-D ``table``, every value
     as ``"%.17g"``.
 
-    Rows are formatted ``_EMIT_BLOCK_ROWS`` at a time with one ``%`` operation
-    per block; ``"%.17g" % v`` is the same text as ``f"{v:.17g}"`` for every
-    float, so the bytes do not depend on the block size.
+    Rows are formatted ``_EMIT_BLOCK_ROWS`` at a time by
+    ``csvtext.block_text``, which writes each value on its own, so the bytes
+    do not depend on the block size.
     """
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _EMIT_BLOCK_ROWS):
-            block = table[start:start + _EMIT_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(csvtext.block_text(table[start:start + _EMIT_BLOCK_ROWS]))
 
 
 def emit_snapshot(state: tuple, refs: ReferenceSamples, path: str, *,
@@ -759,3 +757,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

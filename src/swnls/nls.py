@@ -18,9 +18,12 @@ topology.  A periodic matrix, banded plus two corner blocks, is ordered by
 minimum degree on A^T + A (``MMD_AT_PLUS_A``), the usual choice for a
 structurally symmetric matrix: its solve is several times faster than with
 SuperLU's default ``COLAMD``, at the same fill.  A Neumann matrix keeps
-``COLAMD``, though the ordering does not make its solve faster or slower: its
-degree >= 2 output is rounding-sensitive at dt = dx, and the degree-2 gate of
-the benchmark pins those digits.  The cause is the step size, not the degree:
+``COLAMD``, though ``MMD_AT_PLUS_A`` solves it faster at the same fill (on
+``dam_break_dry``'s initial psi, 8001 nodes, best of 7x100 solves on a 2-vCPU
+x86_64 host: 1066 against 247 us at degree 2, nnz(L) = nnz(U) = 20001, and
+593 against 459 us at degree 1): its degree >= 2 output is rounding-sensitive
+at dt = dx, and the degree-2 gate of the benchmark pins those digits, which
+another ordering changes.  The cause is the step size, not the degree:
 the stepping amplifies rounding once Q = dt^2 * g * h_max * lambda_max / 4
 exceeds 1, with lambda_max * dx^2 = 4, 24, 74.3 and 183.3 for degrees 1-4, so
 dt = dx gives Q = 6 at degree 2 on a depth-1 state and Q = 1 at degree 1.
@@ -52,11 +55,11 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     M = sparse.diags(mesh.mass)
     K = mesh.stiffness
     b_mat = ((1j * a) * M + c * K).tocsr()
-    # On a Neumann mesh MMD_AT_PLUS_A would be no slower.  COLAMD is kept
-    # only because degree >= 2 Neumann output is rounding-sensitive at
-    # dt = dx and the benchmark's riemann_steps degree-2 gate (1e-6
-    # relative) pins its digits; once dt obeys a per-degree stability
-    # bound, this choice goes.
+    # On a Neumann mesh MMD_AT_PLUS_A would be faster at the same fill (4x
+    # at degree 2, see the module docstring).  COLAMD is kept only because
+    # degree >= 2 Neumann output is rounding-sensitive at dt = dx and the
+    # benchmark's riemann_steps degree-2 gate (1e-6 relative) pins its
+    # digits; once dt obeys a per-degree stability bound, this choice goes.
     ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
     solve = spla.splu(((1j * a) * M - c * K).tocsc(), permc_spec=ordering).solve
     return lambda psi: solve(b_mat @ psi)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from swnls.app import (BOUNDARY_NEUMANN, BOUNDARY_PERIODIC, BOUNDARY_SPONGE,
                        builtin_names, builtin_scenario, cli_main, parse_scenario,
                        reference_samples, run_and_write, serialize_scenario)
 from swnls.mesh import MAX_DEGREE
+from test_csvtext import BOUNDARY_VALUES
 
 MINIMAL_DOC = """
 {
@@ -697,7 +699,8 @@ def test_emit_snapshot_matches_row_loop_bytes(tmp_path, monkeypatch, block_rows)
     n = m.num_nodes
     h, q, b, h_ref, q_ref = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
                              for _ in range(5))
-    special = [np.nan, -0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, 0.0, 0.1, 1 / 3]
+    special = [np.nan, -0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, 0.0, 0.1, 1 / 3,
+               *BOUNDARY_VALUES]
     nodes = np.flatnonzero(interior)[:len(special)]
     for arr in (h, q, b, h_ref, q_ref):
         arr[nodes] = special
@@ -815,6 +818,23 @@ def test_cli_list(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == builtin_names()
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m swnls.app` runs the CLI, exit codes included
+    src = os.path.dirname(os.path.dirname(os.path.abspath(app.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    listed = subprocess.run([sys.executable, "-m", "swnls.app", "list"], env=env,
+                            capture_output=True, text=True, cwd=tmp_path)
+    assert listed.returncode == 0
+    assert listed.stdout.splitlines() == builtin_names()
+    refused = subprocess.run([sys.executable, "-m", "swnls.app", "run", "dam_break_dry",
+                              "--out", ""], env=env, capture_output=True, text=True,
+                             cwd=tmp_path)
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
