@@ -350,9 +350,6 @@ class Scenario:
 
 # --- parsing and serialization ----------------------------------------------
 
-_INIT_SPECS = {spec.recipe: spec for spec in (RiemannInitSpec, SurfaceInitSpec)}
-
-
 def _object(section: str, data) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"section '{section}' must be a JSON object, got {data!r}")
@@ -388,19 +385,14 @@ def _value(key: str, options: tuple, value):
     if value is None or not specs:
         return tuple(value) if isinstance(value, list) else value
     if len(specs) > 1:  # the init section, told apart by its recipe
-        return _init(key, value)
+        value = dict(_object(key, value))
+        if "recipe" not in value:
+            raise ValueError(f"missing required key '{key}.recipe' in scenario document")
+        recipe = value.pop("recipe")
+        specs = [spec for spec in specs if spec.recipe == recipe]
+        if not specs:
+            raise ValueError(f"unknown value for '{key}.recipe': {recipe!r}")
     return specs[0](**_read(key, value, specs[0]))
-
-
-def _init(section: str, data):
-    rest = dict(_object(section, data))
-    if "recipe" not in rest:
-        raise ValueError(f"missing required key '{section}.recipe' in scenario document")
-    recipe = rest.pop("recipe")
-    spec = _INIT_SPECS.get(recipe) if isinstance(recipe, str) else None
-    if spec is None:
-        raise ValueError(f"unknown value for '{section}.recipe': {recipe!r}")
-    return spec(**_read(section, rest, spec))
 
 
 def _unique_keys(pairs: list) -> dict:

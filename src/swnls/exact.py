@@ -224,23 +224,6 @@ def sample(d: RiemannData, structure: WaveStructure, x: float,
     return _right_fan(xi, d)
 
 
-def _select(xi: np.ndarray, branches: list) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate an if/elif chain over an array: each branch is (condition,
-    value), condition None means "else", and the value is a constant (h, u)
-    pair or a fan function of xi.  The first matching branch wins."""
-    h = np.empty_like(xi)
-    u = np.empty_like(xi)
-    todo = np.ones(xi.shape, dtype=bool)
-    for cond, value in branches:
-        m = todo if cond is None else todo & cond
-        if callable(value):
-            h[m], u[m] = value(xi[m])
-        else:
-            h[m], u[m] = value
-        todo &= ~m
-    return h, u
-
-
 def sample_profile(d: RiemannData, structure: WaveStructure, x: np.ndarray,
                    t: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized `sample` over an array of positions.
@@ -248,27 +231,32 @@ def sample_profile(d: RiemannData, structure: WaveStructure, x: np.ndarray,
     Every structure is one layout, left state | left wave | star state |
     right wave | right state: a missing wave adds no region, a rarefaction
     its fan, a shock none, and a dry side or vacuum is the star state (0, 0).
-    The fans are those of `sample`, so values are bitwise equal except on a
-    ray that rounding merges with another (a side ~1e-30 times shallower).
+    `np.select` takes the first region whose condition holds, the star state
+    last, where every condition before it fails.  The fans are those of
+    `sample`, so values are bitwise equal except on a ray that rounding
+    merges with another (a side ~1e-30 times shallower).
     """
     x = np.asarray(x, dtype=float)
-    left_state = (d.h_left, d.u_left)
-    right_state = (d.h_right, d.u_right)
+    # floats, as a scenario file's integer heights would otherwise give integer arrays
+    left_state = (float(d.h_left), float(d.u_left))
+    right_state = (float(d.h_right), float(d.u_right))
     if t <= 0.0:
-        return _select(x, [(x < 0.0, left_state), (None, right_state)])
+        return tuple(np.where(x < 0.0, l, r) for l, r in zip(left_state, right_state))
     xi = x / t
     s = structure
-    branches = []
+    regions = []  # (condition, (h, u)) in layout order
     if s.left_wave is not None:
-        branches.append((xi <= s.left_head, left_state))
+        regions.append((xi <= s.left_head, left_state))
         if s.left_wave == RAREFACTION:
-            branches.append((xi < s.left_tail, lambda v: _left_fan(v, d)))
+            regions.append((xi < s.left_tail, _left_fan(xi, d)))
     if s.right_wave is not None:
-        branches.append((xi >= s.right_head, right_state))
+        regions.append((xi >= s.right_head, right_state))
         if s.right_wave == RAREFACTION:
-            branches.append((xi > s.right_tail, lambda v: _right_fan(v, d)))
+            regions.append((xi > s.right_tail, _right_fan(xi, d)))
     star = (0.0, 0.0) if s.h_star is None else (s.h_star, s.u_star)
-    return _select(xi, branches + [(None, star)])
+    regions.append((np.ones(xi.shape, dtype=bool), star))
+    conditions, values = zip(*regions)
+    return tuple(np.select(conditions, column) for column in zip(*values))
 
 
 _SQRT2 = math.sqrt(2.0)

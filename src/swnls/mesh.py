@@ -37,16 +37,13 @@ def gauss_lobatto(k: int) -> GaussLobattoRule:
     k = int(k)
     ck = np.zeros(k + 1)
     ck[k] = 1.0  # Legendre coefficient vector of P_k
-    if k == 1:
-        nodes = np.array([-1.0, 1.0])
-    else:
-        dk = npleg.legder(ck)
-        interior = np.sort(npleg.legroots(dk).real)
-        d2k = npleg.legder(dk)
-        for _ in range(3):  # Newton polish of the companion-matrix roots
-            interior = interior - npleg.legval(interior, dk) / npleg.legval(interior, d2k)
-        nodes = np.concatenate(([-1.0], interior, [1.0]))
-        nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact symmetry
+    dk = npleg.legder(ck)
+    interior = np.sort(npleg.legroots(dk).real)  # none at k = 1, where P_1' is constant
+    d2k = npleg.legder(dk)
+    for _ in range(3):  # Newton polish of the companion-matrix roots
+        interior = interior - npleg.legval(interior, dk) / npleg.legval(interior, d2k)
+    nodes = np.concatenate(([-1.0], interior, [1.0]))
+    nodes = 0.5 * (nodes - nodes[::-1])  # enforce exact symmetry
     pk = npleg.legval(nodes, ck)
     weights = 2.0 / (k * (k + 1) * pk * pk)
     weights = 0.5 * (weights + weights[::-1])

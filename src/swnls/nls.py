@@ -13,20 +13,9 @@ step before an output time is factorized for that step only.  In 1D the
 banded system always has a sparse LU factorization, so that is the only
 solver.
 
-The factorization is SuperLU's, and its column ordering depends on the mesh
-topology.  A periodic matrix, banded plus two corner blocks, is ordered by
-minimum degree on A^T + A (``MMD_AT_PLUS_A``), the usual choice for a
-structurally symmetric matrix: its solve is several times faster than with
-SuperLU's default ``COLAMD``, at the same fill.  A Neumann matrix keeps
-``COLAMD``, though ``MMD_AT_PLUS_A`` solves it faster at the same fill (on
-``dam_break_dry``'s initial psi, 8001 nodes, best of 7x100 solves on a 2-vCPU
-x86_64 host: 1066 against 247 us at degree 2, nnz(L) = nnz(U) = 20001, and
-593 against 459 us at degree 1): its degree >= 2 output is rounding-sensitive
-at dt = dx, and the degree-2 gate of the benchmark pins those digits, which
-another ordering changes.  The cause is the step size, not the degree:
-the stepping amplifies rounding once Q = dt^2 * g * h_max * lambda_max / 4
-exceeds 1, with lambda_max * dx^2 = 4, 24, 74.3 and 183.3 for degrees 1-4, so
-dt = dx gives Q = 6 at degree 2 on a depth-1 state and Q = 1 at degree 1.
+The factorization is SuperLU's.  Its column ordering depends on the mesh
+topology; the comment at the line in ``_crank_nicolson`` that chooses it says
+why.
 """
 from __future__ import annotations
 
@@ -55,11 +44,17 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     M = sparse.diags(mesh.mass)
     K = mesh.stiffness
     b_mat = ((1j * a) * M + c * K).tocsr()
-    # On a Neumann mesh MMD_AT_PLUS_A would be faster at the same fill (4x
-    # at degree 2, see the module docstring).  COLAMD is kept only because
-    # degree >= 2 Neumann output is rounding-sensitive at dt = dx and the
-    # benchmark's riemann_steps degree-2 gate (1e-6 relative) pins its
-    # digits; once dt obeys a per-degree stability bound, this choice goes.
+    # A periodic matrix, banded plus two corner blocks, is ordered by minimum
+    # degree on A^T + A, the usual choice for a structurally symmetric matrix:
+    # its solve is several times faster than with SuperLU's default COLAMD, at
+    # the same fill.  A Neumann matrix keeps COLAMD, though MMD_AT_PLUS_A would
+    # solve it faster at the same fill, only because its degree >= 2 output is
+    # rounding-sensitive at dt = dx and the benchmark's riemann_steps degree-2
+    # gate (1e-6 relative) pins its digits, which another ordering changes.
+    # The cause is the step size, not the degree: the stepping amplifies
+    # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
+    # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
+    # Once dt obeys a per-degree stability bound, this choice goes.
     ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
     solve = spla.splu(((1j * a) * M - c * K).tocsc(), permc_spec=ordering).solve
     return lambda psi: solve(b_mat @ psi)
@@ -155,7 +150,8 @@ def run(scenario) -> RunResult:
     nodal bathymetry, the initial wave field, an optional sponge profile, and
     g, eps and the step dt, from which one Stepper is made for the run.  The
     step before each output time is shortened so snapshots land exactly on
-    the requested times.
+    the requested times; a remainder within roundoff of dt is a full step,
+    not a shortened one with a factorization of its own.
     """
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)
@@ -168,8 +164,9 @@ def run(scenario) -> RunResult:
     energies = []
     steps = 0
     for t_out in times:
-        while t_out - wave.time > _TIME_SNAP * max(1.0, t_out):
-            tau = min(stepper.dt, t_out - wave.time)
+        snap = _TIME_SNAP * max(1.0, t_out)
+        while (remaining := t_out - wave.time) > snap:
+            tau = stepper.dt if remaining > stepper.dt - snap else remaining
             wave = strang_step(wave, b, sponge, stepper, tau)
             steps += 1
             if not np.isfinite(wave.psi.view(np.float64)).all():

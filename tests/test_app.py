@@ -838,10 +838,13 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
-    rc = cli_main(["run", "dam_break_dry", "--eps", "0.08", "--tfinal", "0.05",
-                   "--out", str(tmp_path / "cli_out")])
-    assert rc == 0
-    assert (tmp_path / "cli_out" / "snapshot_0000.csv").exists()
+    # a Neumann mesh, the sponge layer, the periodic mesh's factorization and
+    # the softplus surface init over the parabolic bowl
+    for name in ("dam_break_dry", "vacuum_generation", "lake_at_rest_dry", "oscillating_lake"):
+        out = tmp_path / name
+        rc = cli_main(["run", name, "--eps", "0.08", "--tfinal", "0.05", "--out", str(out)])
+        assert rc == 0
+        assert (out / "snapshot_0000.csv").exists()
     assert cli_main(["run", "no_such_builtin"]) == 2
     assert cli_main(["sweep", "dam_break_dry", "--eps-list", "abc"]) == 2
 
@@ -932,14 +935,17 @@ def test_cli_sweep_refuses_a_periodic_seam_jump(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_sweep(tmp_path, capsys):
-    rc = cli_main(["sweep", "dam_break_dry", "--eps-list", "0.08,0.04",
-                   "--out", str(tmp_path / "sweep_out")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "fitted convergence order" in out
-    table = (tmp_path / "sweep_out" / "error_table.csv").read_text().splitlines()
-    assert table[0] == "eps,error_L1_height"
-    assert len(table) == 3
+    # the error window: the whole domain, or dam_break_wet's, chosen by name
+    for name, eps_list, window in (("dam_break_dry", "0.08,0.04", "[-2, 2]"),
+                                   ("dam_break_wet", "0.16,0.08", "[-1.2, ")):
+        rc = cli_main(["sweep", name, "--eps-list", eps_list, "--out", str(tmp_path / name)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "fitted convergence order" in out
+        assert out.count(f"L1(height) over {window}") == 2
+        table = (tmp_path / name / "error_table.csv").read_text().splitlines()
+        assert table[0] == "eps,error_L1_height"
+        assert len(table) == 3
 
 
 def test_cli_sweep_fits_no_order_from_rounding_level_errors(tmp_path, capsys):

@@ -7,16 +7,17 @@ from swnls.mesh import (NEUMANN, PERIODIC, build_mesh, gauss_lobatto,
 
 
 def test_gauss_lobatto_k1():
+    # the general rule: P_1' has no roots, so the nodes are the end points alone
     r = gauss_lobatto(1)
-    assert np.allclose(r.nodes, [-1.0, 1.0], atol=0)
-    assert np.allclose(r.weights, [1.0, 1.0], atol=0)
+    assert np.array_equal(r.nodes, [-1.0, 1.0])
+    assert np.array_equal(r.weights, [1.0, 1.0])
 
 
 def test_gauss_lobatto_k2():
     # solve the moment equations by hand: w0=w2=1/3, w1=4/3, interior node 0
     r = gauss_lobatto(2)
-    assert np.allclose(r.nodes, [-1.0, 0.0, 1.0], atol=1e-15)
-    assert np.allclose(r.weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], atol=1e-14)
+    assert np.array_equal(r.nodes, [-1.0, 0.0, 1.0])
+    assert np.array_equal(r.weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0])
 
 
 def test_gauss_lobatto_k3():

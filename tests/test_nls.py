@@ -376,11 +376,18 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
         return real_step(wave, b, sponge, stepper, tau)
 
     monkeypatch.setattr(nls, "strang_step", recording_step)
-    # no output time is a multiple of dt = 0.01: each is reached by a shortened step
-    run(_ToyScenario(times=(0.037, 0.05, 0.063, 0.081), dt=0.01))
-    shortened = sum(tau != dt for tau, dt in taus)
-    assert shortened == 4
-    assert len(factorizations) == 1 + shortened
+    for times, dt, steps, shortened in (
+            # no output time is a multiple of dt = 0.01: each is reached by a shortened step
+            ((0.037, 0.05, 0.063, 0.081), 0.01, 10, 4),
+            # 600 steps of dt sum to 0.3 less an ulp or so: a remainder of
+            # roundoff, taken as a full step, not factorized as a shortened one
+            ((0.3,), 0.0005, 600, 0)):
+        taus.clear()
+        factorizations.clear()
+        run(_ToyScenario(times=times, dt=dt))
+        assert len(taus) == steps
+        assert sum(tau != step_dt for tau, step_dt in taus) == shortened
+        assert len(factorizations) == 1 + shortened
 
 
 def test_shortened_step_operator_is_not_kept(monkeypatch):
