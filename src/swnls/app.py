@@ -17,7 +17,8 @@ import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from typing import ClassVar, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
+from typing import (ClassVar, Literal, NamedTuple, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -28,8 +29,8 @@ PARABOLIC = "parabolic"
 GAUSSIAN_BUMP = "gaussian_bump"
 TABULATED = "tabulated"
 
-BOUNDARY_NEUMANN = "neumann"
-BOUNDARY_PERIODIC = "periodic"
+BOUNDARY_NEUMANN = meshmod.NEUMANN
+BOUNDARY_PERIODIC = meshmod.PERIODIC
 BOUNDARY_SPONGE = "sponge_neumann"
 
 SNAPSHOT_HEADER = "x,h_num,h_ref,q_num,q_ref,re_psi,im_psi,b,eta_num,eta_ref"
@@ -66,14 +67,14 @@ class RiemannInitSpec:
 @dataclass(frozen=True)
 class SurfaceInitSpec:
     recipe: ClassVar[str] = "softplus_surface"
-    surface: str  # "thacker" or "constant"
+    surface: Literal["thacker", "constant"]
     level: float = 1.0
     delta_over_eps: float = DELTA_OVER_EPS
 
 
 @dataclass(frozen=True)
 class BathymetrySpec:
-    kind: str = FLAT
+    kind: Literal[FLAT, PARABOLIC, GAUSSIAN_BUMP, TABULATED] = FLAT
     b_max: float = 0.0  # read for gaussian_bump only
     x: tuple = ()       # x and values: read for tabulated only
     values: tuple = ()
@@ -82,7 +83,7 @@ class BathymetrySpec:
 @dataclass(frozen=True)
 class DomainSpec:
     half_width: float
-    boundary: str
+    boundary: Literal[BOUNDARY_NEUMANN, BOUNDARY_PERIODIC, BOUNDARY_SPONGE]
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,18 @@ def _quotient(a: float, b: float) -> float:
     return a / b if b else math.inf
 
 
+def _options(hint) -> tuple:
+    """The types an annotation allows, NoneType where Optional; for a Literal,
+    one "type": the tuple of its values."""
+    return (get_args(hint),) if get_origin(hint) is Literal else get_args(hint) or (hint,)
+
+
 @functools.cache
 def _fields(spec: type) -> tuple:
-    """(field, the types its annotation allows, NoneType where Optional) for
-    each field of the dataclass `spec`, resolved once per class."""
+    """(field, `_options` of its annotation) for each field of the dataclass
+    `spec`, resolved once per class."""
     hints = get_type_hints(spec)
-    return tuple((f, get_args(hints[f.name]) if get_origin(hints[f.name]) is Union
-                  else (hints[f.name],)) for f in fields(spec))
+    return tuple((f, _options(hints[f.name])) for f in fields(spec))
 
 
 # The value each scalar annotation of a scenario field admits, as a refusal names it.
@@ -147,7 +153,9 @@ _KINDS = {str: "a string", int: "an integer", float: "a finite number",
           tuple: "a tuple of finite numbers (a list in a scenario file)"}
 
 
-def _admits(kind: type, value) -> bool:
+def _admits(kind, value) -> bool:
+    if isinstance(kind, tuple):  # a Literal's values
+        return isinstance(value, str) and value in kind
     if kind is str:
         return isinstance(value, str)
     if kind is tuple:
@@ -172,7 +180,8 @@ def _check_values(section: Optional[str], spec) -> None:
                 raise ValueError(f"{key} must be a section, got {value!r}")
             _check_values(f.name, value)
         elif not _admits(options[0], value):
-            raise ValueError(f"{key} must be {_KINDS[options[0]]}, got {value!r}")
+            expected = _KINDS.get(options[0]) or f"one of {', '.join(options[0])}"
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
         elif key in _POSITIVE and not value > 0.0:
             raise ValueError(f"{key} must be positive, got {value}")
 
@@ -199,8 +208,6 @@ class Scenario:
 
     def __post_init__(self):
         _check_values(None, self)
-        if self.domain.boundary not in (BOUNDARY_NEUMANN, BOUNDARY_PERIODIC, BOUNDARY_SPONGE):
-            raise ValueError(f"domain.boundary unknown: {self.domain.boundary!r}")
         if self.domain.boundary == BOUNDARY_SPONGE:
             if self.sponge is None:
                 raise ValueError("domain.boundary sponge_neumann requires a sponge section")
@@ -219,15 +226,10 @@ class Scenario:
             for key, h in (("h_left", self.init.h_left), ("h_right", self.init.h_right)):
                 if h < 0.0:
                     raise ValueError(f"init.{key} must be nonnegative, got {h}")
-        else:
-            if self.init.surface not in ("thacker", "constant"):
-                raise ValueError(f"init.surface unknown: {self.init.surface!r}")
-            if self.init.level != 1.0 and self.init.surface != "constant":
-                raise ValueError(f"'init.level' is read only for surface constant, "
-                                 f"not {self.init.surface}")
+        elif self.init.level != 1.0 and self.init.surface != "constant":
+            raise ValueError(f"'init.level' is read only for surface constant, "
+                             f"not {self.init.surface}")
         kind = self.bathymetry.kind
-        if kind not in (FLAT, PARABOLIC, GAUSSIAN_BUMP, TABULATED):
-            raise ValueError(f"unknown value for 'bathymetry.kind': {kind!r}")
         if self.bathymetry.b_max != 0.0 and kind != GAUSSIAN_BUMP:
             raise ValueError(f"'bathymetry.b_max' is read only for kind {GAUSSIAN_BUMP}, "
                              f"not {kind}")
@@ -257,6 +259,12 @@ class Scenario:
             raise ValueError(f"a sponge layer needs at least 1 element and a finite peak damping, "
                              f"but has {lay.layers} (width {lay.ell:.6g}) and {lay.sigma_max:.6g}; "
                              f"it is sized by {lay.keys}, sponge.reduction")
+        half = self.domain.half_width + lay.layers * lay.dx
+        if not (math.isfinite(self.delta) and math.isfinite(_quotient(half, self.delta))):
+            # both inits evaluate x/delta at every node
+            raise ValueError(f"init.delta_over_eps {self.init.delta_over_eps!r} makes the "
+                             f"smoothing width delta {self.delta!r}; delta must be finite, and "
+                             f"x/delta finite at every node, up to |x| = {half:.6g}")
         if (isinstance(self.init, RiemannInitSpec)
                 and self.domain.boundary == BOUNDARY_PERIODIC):
             # the initial phase phi0/eps jumps by (u_left + u_right)*half_width/eps
@@ -319,14 +327,14 @@ class Scenario:
             return x * x
         if spec.kind == GAUSSIAN_BUMP:
             return spec.b_max * np.exp(-10.0 * x * x)
-        # TABULATED, the one kind left that __post_init__ accepts
+        # TABULATED, the one kind left that the annotation admits
         return np.interp(x, np.asarray(spec.x, dtype=float),
                          np.asarray(spec.values, dtype=float))
 
     def surface_depth(self, x: np.ndarray) -> np.ndarray:
         """Initial surface (level or Thacker plane) minus bed, unclipped: < 0 on dry bed."""
         x = np.asarray(x, dtype=float)
-        surface = (0.5 - math.sqrt(2.0) * x if self.init.surface == "thacker"
+        surface = (exact.thacker_plane(x, 0.0, self.g) if self.init.surface == "thacker"
                    else self.init.level)
         return surface - self.bathymetry_values(x)
 
@@ -512,7 +520,7 @@ def reference_samples(scenario: Scenario, x: np.ndarray, t: float) -> ReferenceS
         return ReferenceSamples(h=h, q=h * u, eta=h)
     if isinstance(init, SurfaceInitSpec):
         if init.surface == "thacker" and scenario.bathymetry.kind == PARABOLIC:
-            h, eta = exact.thacker_exact(x, t)
+            h, eta = exact.thacker_exact(x, t, scenario.g)
             return ReferenceSamples(h=h, q=nan.copy(), eta=eta)
         if init.surface == "constant":
             b = scenario.bathymetry_values(x)
@@ -586,10 +594,9 @@ def _run(scenario: Scenario) -> nls.RunResult:
                           f"{lay.keys}: {err}") from None
 
 
-def run_and_write(scenario: Scenario, out_dir: Optional[str] = None) -> nls.RunResult:
+def run_and_write(scenario: Scenario, out_dir: str) -> nls.RunResult:
     """Run a scenario, write snapshot CSVs, the diagnostics log and the
-    effective scenario document into the output directory."""
-    out_dir = out_dir or scenario.output.directory
+    effective scenario document into `out_dir`."""
     result = _run(scenario)
     os.makedirs(out_dir, exist_ok=True)
     interior = interior_mask(scenario, result.mesh)

@@ -51,12 +51,11 @@ def energy(wave: WaveField, b: np.ndarray, g: float) -> EnergyReport:
     mesh = wave.mesh
     eps = wave.eps
     h = np.abs(wave.psi) ** 2
-    wq = 0.5 * mesh.element_length * mesh.rule.weights  # per-element quadrature weights
 
     dpsi = element_derivatives(mesh, wave.psi)
-    gradient = 0.5 * eps * eps * float(np.sum(wq * np.abs(dpsi) ** 2))
+    gradient = 0.5 * eps * eps * float(np.sum(mesh.weights * np.abs(dpsi) ** 2))
     droot = element_derivatives(mesh, np.abs(wave.psi))
-    fisher = 0.5 * eps * eps * float(np.sum(wq * droot ** 2))
+    fisher = 0.5 * eps * eps * float(np.sum(mesh.weights * droot ** 2))
 
     potential = float(np.sum(mesh.mass * (0.5 * g * h * h + g * np.asarray(b) * h)))
     total = gradient + potential
@@ -91,11 +90,10 @@ def windowed_norm(mesh, diff: np.ndarray, window: tuple[float, float],
     lo, hi = window
     elems = _window_elements(mesh, lo, hi)
     vals = diff[mesh.conn[elems]]
-    wq = 0.5 * mesh.element_length * mesh.rule.weights
     if kind == L1:
-        return ErrorReport(float(np.sum(wq * np.abs(vals))))
+        return ErrorReport(float(np.sum(mesh.weights * np.abs(vals))))
     if kind == L2:
-        return ErrorReport(float(np.sqrt(np.sum(wq * np.abs(vals) ** 2))))
+        return ErrorReport(float(np.sqrt(np.sum(mesh.weights * np.abs(vals) ** 2))))
     if kind == LINF:
         return ErrorReport(float(np.max(np.abs(vals))))
     raise ValueError(f"unknown norm kind {kind!r}")

@@ -93,7 +93,7 @@ def star_state(d: RiemannData) -> tuple[float, float]:
     du = d.u_right - d.u_left
     a_fans = 0.5 * (d.a_left + d.a_right) - 0.25 * du
     if a_fans <= 0.0:  # the same test as u_R - u_L >= 2 (a_L + a_R)
-        raise ValueError("star_state called on vacuum-generating data")
+        raise ValueError("star_state called on vacuum-generating data: no two-wave star state")
     h = a_fans * a_fans / g
     if h > min(d.h_left, d.h_right):
         lo = 0.0
@@ -231,10 +231,11 @@ def sample_profile(d: RiemannData, structure: WaveStructure, x: np.ndarray,
     Every structure is one layout, left state | left wave | star state |
     right wave | right state: a missing wave adds no region, a rarefaction
     its fan, a shock none, and a dry side or vacuum is the star state (0, 0).
-    `np.select` takes the first region whose condition holds, the star state
-    last, where every condition before it fails.  The fans are those of
-    `sample`, so values are bitwise equal except on a ray that rounding
-    merges with another (a side ~1e-30 times shallower).
+    Each point takes the first region, in layout order, whose condition it
+    meets, and the star state where it meets none; a fan is evaluated only at
+    its own points.  The fans are those of `sample`, so values are bitwise
+    equal except on a ray that rounding merges with another (a side ~1e-30
+    times shallower).
     """
     x = np.asarray(x, dtype=float)
     # floats, as a scenario file's integer heights would otherwise give integer arrays
@@ -244,35 +245,44 @@ def sample_profile(d: RiemannData, structure: WaveStructure, x: np.ndarray,
         return tuple(np.where(x < 0.0, l, r) for l, r in zip(left_state, right_state))
     xi = x / t
     s = structure
-    regions = []  # (condition, (h, u)) in layout order
+    regions = []  # (condition, state or fan) in layout order
     if s.left_wave is not None:
         regions.append((xi <= s.left_head, left_state))
         if s.left_wave == RAREFACTION:
-            regions.append((xi < s.left_tail, _left_fan(xi, d)))
+            regions.append((xi < s.left_tail, _left_fan))
     if s.right_wave is not None:
         regions.append((xi >= s.right_head, right_state))
         if s.right_wave == RAREFACTION:
-            regions.append((xi > s.right_tail, _right_fan(xi, d)))
+            regions.append((xi > s.right_tail, _right_fan))
     star = (0.0, 0.0) if s.h_star is None else (s.h_star, s.u_star)
-    regions.append((np.ones(xi.shape, dtype=bool), star))
-    conditions, values = zip(*regions)
-    return tuple(np.select(conditions, column) for column in zip(*values))
+    h, u = np.full(xi.shape, star[0]), np.full(xi.shape, star[1])
+    free = np.ones(xi.shape, dtype=bool)  # points no region has taken yet
+    for condition, fill in regions:
+        taken = condition & free
+        free &= ~condition
+        h[taken], u[taken] = fill(xi[taken], d) if callable(fill) else fill
+    return h, u
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def thacker_exact(x, t: float):
+def thacker_plane(x, t: float, g: float):
+    """Planar free surface 0.75 - cos(2wt)/4 - sqrt(2) x cos(wt), w = sqrt(2g), of the
+    oscillating lake over the bowl b = x^2 (W. C. Thacker, J. Fluid Mech. 107, 1981)."""
+    omega = math.sqrt(2.0 * g)
+    return 0.75 - 0.25 * math.cos(2.0 * omega * t) - _SQRT2 * x * math.cos(omega * t)
+
+
+def thacker_exact(x, t: float, g: float):
     """Oscillating lake over the parabolic bowl b = x^2: returns (h, eta).
 
-    The free surface stays planar and rocks periodically; dry regions are
-    where the plane dips below the bowl.
+    The free surface is `thacker_plane`, which rocks with period
+    pi*sqrt(2/g); dry regions are where the plane dips below the bowl.
     """
     x = np.asarray(x, dtype=float)
     b = x * x
-    plane = (0.75 - 0.25 * math.cos(2.0 * _SQRT2 * t)
-             - _SQRT2 * x * math.cos(_SQRT2 * t))
-    eta = np.maximum(plane, b)
+    eta = np.maximum(thacker_plane(x, t, g), b)
     return eta - b, eta
 
 

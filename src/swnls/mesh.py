@@ -21,17 +21,9 @@ NEUMANN = "neumann"
 PERIODIC = "periodic"
 
 
-@dataclass(frozen=True, eq=False)
-class GaussLobattoRule:
-    """Gauss-Lobatto rule on [-1, 1]: k+1 points, exact through degree 2k-1."""
-
-    degree: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_lobatto(k: int) -> GaussLobattoRule:
-    """Return the (k+1)-point Gauss-Lobatto rule on the reference interval."""
+def gauss_lobatto(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the (k+1)-point Gauss-Lobatto rule on [-1, 1],
+    exact through degree 2k-1."""
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_DEGREE:
         raise ValueError(f"unsupported degree k={k}: need integer 1 <= k <= {MAX_DEGREE}")
     k = int(k)
@@ -47,7 +39,7 @@ def gauss_lobatto(k: int) -> GaussLobattoRule:
     pk = npleg.legval(nodes, ck)
     weights = 2.0 / (k * (k + 1) * pk * pk)
     weights = 0.5 * (weights + weights[::-1])
-    return GaussLobattoRule(k, nodes, weights)
+    return nodes, weights
 
 
 def lagrange_diff_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -77,7 +69,8 @@ class Mesh1D:
     ``coords`` holds one coordinate per global unknown: M*k+1 nodes for
     Neumann topology, M*k for periodic (the right endpoint is identified
     with the left).  ``conn[e, i]`` maps element-local node i of element e
-    to its global index.
+    to its global index, and ``weights[i]`` is its quadrature weight in every
+    element: the Gauss-Lobatto weight scaled by half the element length.
     """
 
     a: float
@@ -85,7 +78,7 @@ class Mesh1D:
     num_elements: int
     degree: int
     topology: str
-    rule: GaussLobattoRule
+    weights: np.ndarray
     coords: np.ndarray
     mass: np.ndarray
     stiffness: sparse.csr_matrix
@@ -110,8 +103,8 @@ def build_mesh(a: float, b: float, num_elements: int, degree: int,
     if num_elements < min_elems:
         raise ValueError(f"need at least {min_elems} elements for {topology} topology, "
                          f"got {num_elements}")
-    rule = gauss_lobatto(degree)
-    k = rule.degree
+    nodes, w = gauss_lobatto(degree)
+    k = nodes.size - 1
     M = int(num_elements)
     h_e = (b - a) / M
     n = M * k + (0 if topology == PERIODIC else 1)
@@ -121,15 +114,16 @@ def build_mesh(a: float, b: float, num_elements: int, degree: int,
         conn = conn % n
 
     coords = np.empty(n)
-    elem_x = a + np.arange(M)[:, None] * h_e + 0.5 * (rule.nodes[None, :] + 1.0) * h_e
+    elem_x = a + np.arange(M)[:, None] * h_e + 0.5 * (nodes[None, :] + 1.0) * h_e
     coords[conn.ravel()] = elem_x.ravel()
     coords[0] = a  # wraparound assignment above may have left coords[0] = b
 
+    weights = 0.5 * h_e * w
     mass = np.zeros(n)
-    np.add.at(mass, conn, np.broadcast_to(0.5 * h_e * rule.weights, conn.shape))
+    np.add.at(mass, conn, np.broadcast_to(weights, conn.shape))
 
-    D = lagrange_diff_matrix(rule.nodes)
-    k_loc = (2.0 / h_e) * (D.T @ (rule.weights[:, None] * D))
+    D = lagrange_diff_matrix(nodes)
+    k_loc = (2.0 / h_e) * (D.T @ (w[:, None] * D))
     k_loc = 0.5 * (k_loc + k_loc.T)  # exact symmetry
     rows = np.repeat(conn, k + 1, axis=1).ravel()
     cols = np.tile(conn, (1, k + 1)).ravel()
@@ -140,7 +134,7 @@ def build_mesh(a: float, b: float, num_elements: int, degree: int,
     np.add.at(multiplicity, conn, 1.0)
 
     return Mesh1D(a=float(a), b=float(b), num_elements=M, degree=k,
-                  topology=topology, rule=rule, coords=coords, mass=mass,
+                  topology=topology, weights=weights, coords=coords, mass=mass,
                   stiffness=stiffness, conn=conn, element_length=h_e,
                   diff=D, node_multiplicity=multiplicity)
 

@@ -188,6 +188,18 @@ def test_parse_rejects_missing_and_invalid_values():
     with pytest.raises(ValueError, match="physics.eps"):
         parse_scenario(json.dumps(doc))
     doc = json.loads(MINIMAL_DOC)
+    del doc["physics"]
+    with pytest.raises(ValueError, match="missing required key '<top>.physics'"):
+        parse_scenario(json.dumps(doc))
+    doc = json.loads(MINIMAL_DOC)
+    doc["domain"] = 5
+    with pytest.raises(ValueError, match="section 'domain' must be a JSON object"):
+        parse_scenario(json.dumps(doc))
+    doc = json.loads(MINIMAL_DOC)
+    del doc["init"]["recipe"]
+    with pytest.raises(ValueError, match="missing required key 'init.recipe'"):
+        parse_scenario(json.dumps(doc))
+    doc = json.loads(MINIMAL_DOC)
     doc["physics"]["eps"] = -0.01
     with pytest.raises(ValueError, match="physics.eps"):
         parse_scenario(json.dumps(doc))
@@ -461,6 +473,16 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
                           "discretization": {"dx_over_eps": 1e-100},
                           "sponge": {"omega": 1e200, "n_wavelengths": 10**91},
                           "output": {"times": [0.0]}}),
+    # a smoothing width delta_over_eps*eps that underflows to 0, for both inits
+    ("init.delta_over_eps", ["--eps", "0.08"],
+     {"init": {"recipe": "riemann_tanh", "h_left": 1.0, "u_left": 0.0, "h_right": 0.5,
+               "u_right": 0.0, "delta_over_eps": 5e-324}}),
+    ("init.delta_over_eps", ["--eps", "0.08"],
+     {"init": {"recipe": "softplus_surface", "surface": "constant", "delta_over_eps": 5e-324}}),
+    # a subnormal width whose x/delta overflows: a non-finite initial phase
+    ("init.delta_over_eps", ["--eps", "0.08"],
+     {"init": {"recipe": "riemann_tanh", "h_left": 1.0, "u_left": 0.0, "h_right": 0.5,
+               "u_right": 0.5, "delta_over_eps": 1e-309}}),
     # not a number, but refused the same way: an empty --out, which would
     # otherwise write to output.directory
     ("--out", ["--out", ""], {}),
@@ -469,7 +491,8 @@ def test_cli_rejects_invalid_value_before_the_run(tmp_path, capsys, key, value, 
         "element_count_nan", "layer_count_omega", "layer_count_n_wavelengths", "mesh_size_omega",
         "mesh_size_half_width", "mesh_size_periodic", "mesh_beyond_memory",
         "element_width_underflow", "node_count_beyond_float", "sponge_width_underflow",
-        "sponge_under_one_element", "sponge_damping_overflow", "empty_out"])
+        "sponge_under_one_element", "sponge_damping_overflow", "delta_underflow_riemann",
+        "delta_underflow_surface", "delta_subnormal_phase", "empty_out"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, argv, sections):
     doc = json.loads(MINIMAL_DOC)
     doc.update(sections)
@@ -641,8 +664,8 @@ def _tiny_scenario(tmp_path, **kw):
 
 def test_run_and_write_outputs(tmp_path):
     sc = _tiny_scenario(tmp_path)
-    result = run_and_write(sc)
     out = sc.output.directory
+    result = run_and_write(sc, out)
     files = sorted(os.listdir(out))
     assert files == ["diagnostics.csv", "scenario_used.json", "snapshot_0000.csv",
                      "snapshot_0001.csv"]
@@ -726,7 +749,7 @@ def test_snapshot_excludes_sponge_nodes(tmp_path):
     sc = builtin_scenario("vacuum_generation")
     sc = replace(sc, eps=0.08, output=replace(sc.output, times=(0.05,),
                                               directory=str(tmp_path / "vac")))
-    result = run_and_write(sc)
+    result = run_and_write(sc, sc.output.directory)
     assert result.mesh.b > 2.0  # the mesh itself extends into the layers
     rows = np.genfromtxt(os.path.join(sc.output.directory, "snapshot_0000.csv"),
                          delimiter=",", names=True)
@@ -781,6 +804,22 @@ def test_reference_samples_lake_at_rest(name):
         np.testing.assert_array_equal(refs.h, np.maximum(level - b, 0.0))
         np.testing.assert_array_equal(refs.q, np.zeros_like(x))
         np.testing.assert_array_equal(refs.eta, refs.h + b)
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0])
+def test_oscillating_lake_follows_its_reference_at_the_scenario_g(g):
+    # the reference rocks with w = sqrt(2g); one fixed at g = 1 gave L1 0.796 at g = 2.
+    # dt sits inside the step bound dt <= dx/sqrt(g*h_max), h_max ~ 1.012
+    from dataclasses import replace
+    from swnls import diagnostics, nls
+    sc = builtin_scenario("oscillating_lake")
+    sc = replace(sc, g=g, eps=0.02, output=replace(sc.output, times=(1.0,)))
+    sc = replace(sc, discretization=replace(sc.discretization,
+                                            dt=0.9 * sc.dx / math.sqrt(1.1 * g)))
+    _, hydro = nls.run(sc).snapshots[-1]
+    err = diagnostics.error_norm(hydro, lambda x, t: reference_samples(sc, x, t).h,
+                                 (-2.0, 2.0))
+    assert err.value <= 2e-2
 
 
 def test_oscillating_lake_starts_with_the_exact_mass():
@@ -987,7 +1026,7 @@ def test_plane_wave_builtin_end_to_end(tmp_path):
     sc = builtin_scenario("plane_wave")
     sc = replace(sc, output=replace(sc.output, times=(0.25,),
                                     directory=str(tmp_path / "pw")))
-    result = run_and_write(sc)
+    result = run_and_write(sc, sc.output.directory)
     _, hydro = result.snapshots[-1]
     assert np.max(np.abs(hydro.h - 1.0)) <= 1e-10
     # discrete derivative of the carrier has a sinc bias ~ (kappa*dx/eps)^2/6

@@ -169,6 +169,10 @@ def test_error_norm_fields_and_validation():
         error_norm(state, lambda x, t: np.ones_like(x), (-3.0, 1.0))  # outside domain
     with pytest.raises(ValueError):
         error_norm(state, lambda x, t: np.ones_like(x), (1.0, 1.0))  # empty window
+    with pytest.raises(ValueError, match="contains no whole element"):
+        error_norm(state, lambda x, t: np.ones_like(x), (0.01, 0.05))  # elements are 1/16 wide
+    with pytest.raises(ValueError, match="does not match node count"):
+        error_norm(state, lambda x, t: np.ones(3), (-1.0, 1.0))
     with pytest.raises(ValueError):
         error_norm(state, lambda x, t: np.ones_like(x), (-1.0, 1.0), kind="L3")
     with pytest.raises(ValueError):

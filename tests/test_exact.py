@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from swnls.exact import (DRY_EVERYWHERE, RAREFACTION, SHOCK, SINGLE_RAREFACTION_DRY_LEFT,
                          SINGLE_RAREFACTION_DRY_RIGHT, TWO_RAREFACTIONS_VACUUM,
                          RiemannData, classify, lake_at_rest_exact, sample,
-                         sample_profile, star_state, thacker_exact)
+                         sample_profile, star_state, thacker_exact, thacker_plane)
 
 # Golden star state for (hL,uL,hR,uR) = (1,0,0.2,0), g=1, frozen from the
 # independent bisection oracle below (200 bisections on [hR, hL]).
@@ -133,8 +133,9 @@ def test_star_state_residual(h_left, u_left, h_right, u_right, g):
 
 
 @pytest.mark.parametrize("data", [RiemannData(0.0, 0.0, 1.0, 0.0),
-                                  RiemannData(1.0, 0.0, 0.0, 0.0)],
-                         ids=["dry_left", "dry_right"])
+                                  RiemannData(1.0, 0.0, 0.0, 0.0),
+                                  RiemannData(1.0, -3.0, 2.0, 3.0)],
+                         ids=["dry_left", "dry_right", "vacuum"])
 def test_star_state_refuses_a_dry_side(data):
     with pytest.raises(ValueError, match="no two-wave star state"):
         star_state(data)
@@ -324,14 +325,14 @@ def test_sample_profile_bitwise_equals_scalar_sample(h_left, u_left, h_right, u_
 
 def test_thacker_initial_profile():
     x = np.linspace(-2, 2, 41)
-    h, eta = thacker_exact(x, 0.0)
+    h, eta = thacker_exact(x, 0.0, 1.0)
     assert np.allclose(eta, np.maximum(0.5 - math.sqrt(2.0) * x, x * x), rtol=1e-14)
     assert np.all(h >= 0.0)
 
 
 def test_thacker_center_always_wet():
     for t in np.linspace(0.0, 10.0, 37):
-        h, eta = thacker_exact(0.0, t)
+        h, eta = thacker_exact(0.0, t, 1.0)
         assert eta == pytest.approx(0.75 - 0.25 * math.cos(2 * math.sqrt(2.0) * t), rel=1e-14)
         assert eta >= 0.5
         assert h == eta
@@ -340,16 +341,35 @@ def test_thacker_center_always_wet():
 def test_thacker_half_period_mirror():
     x = np.linspace(-2, 2, 41)
     t_half = math.pi / math.sqrt(2.0)
-    _, eta = thacker_exact(x, t_half)
+    _, eta = thacker_exact(x, t_half, 1.0)
     assert np.allclose(eta, np.maximum(0.5 + math.sqrt(2.0) * x, x * x), atol=1e-13)
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0, 9.81])
+def test_thacker_plane_solves_the_shallow_water_equations(g):
+    # a surface A + B x over b = x^2 with a uniform velocity u solves continuity
+    # when B' = 2u and A' = -u B, and momentum when u' = -g B
+    def coefficients(t):
+        a = thacker_plane(0.0, t, g)
+        return a, thacker_plane(1.0, t, g) - a
+
+    step = 1e-4
+    for t in (0.0, 0.4, 1.3, 5.0):
+        (a0, b0), (_, b1), (a2, b2) = (coefficients(t + k * step) for k in (-1, 0, 1))
+        da, db = (a2 - a0) / (2.0 * step), (b2 - b0) / (2.0 * step)
+        assert da == pytest.approx(-0.5 * db * b1, abs=1e-5 * g)
+        assert (b2 - 2.0 * b1 + b0) / step**2 == pytest.approx(-2.0 * g * b1, abs=1e-5 * g * g)
+    # the initial surface the scenario reads, bit for bit, at any g
+    x = np.linspace(-2.0, 2.0, 41)
+    assert np.array_equal(thacker_plane(x, 0.0, g), 0.5 - math.sqrt(2.0) * x)
 
 
 def test_thacker_periodicity():
     x = np.linspace(-2, 2, 101)
     period = math.sqrt(2.0) * math.pi
     for t in (0.3, 1.7, 4.0):
-        h1, eta1 = thacker_exact(x, t)
-        h2, eta2 = thacker_exact(x, t + period)
+        h1, eta1 = thacker_exact(x, t, 1.0)
+        h2, eta2 = thacker_exact(x, t + period, 1.0)
         assert np.max(np.abs(eta1 - eta2)) <= 1e-12
         assert np.max(np.abs(h1 - h2)) <= 1e-12
 

@@ -56,6 +56,14 @@ def test_riemann_rejects_bad_inputs(mesh):
         init_riemann(mesh, *riemann_params(), eps=-1.0)
 
 
+def test_softplus_surface_rejects_bad_inputs(mesh):
+    depth = np.ones(mesh.num_nodes)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        init_softplus_surface(mesh, depth, delta=0.0, eps=0.01)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        init_softplus_surface(mesh, depth, delta=0.012, eps=-1.0)
+
+
 def test_softplus_depth_limits():
     delta = 0.05
     assert softplus_depth(np.array(0.0), delta) == pytest.approx(delta * np.log(2.0), rel=1e-14)

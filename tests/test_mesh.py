@@ -8,36 +8,36 @@ from swnls.mesh import (NEUMANN, PERIODIC, build_mesh, gauss_lobatto,
 
 def test_gauss_lobatto_k1():
     # the general rule: P_1' has no roots, so the nodes are the end points alone
-    r = gauss_lobatto(1)
-    assert np.array_equal(r.nodes, [-1.0, 1.0])
-    assert np.array_equal(r.weights, [1.0, 1.0])
+    nodes, weights = gauss_lobatto(1)
+    assert np.array_equal(nodes, [-1.0, 1.0])
+    assert np.array_equal(weights, [1.0, 1.0])
 
 
 def test_gauss_lobatto_k2():
     # solve the moment equations by hand: w0=w2=1/3, w1=4/3, interior node 0
-    r = gauss_lobatto(2)
-    assert np.array_equal(r.nodes, [-1.0, 0.0, 1.0])
-    assert np.array_equal(r.weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0])
+    nodes, weights = gauss_lobatto(2)
+    assert np.array_equal(nodes, [-1.0, 0.0, 1.0])
+    assert np.array_equal(weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0])
 
 
 def test_gauss_lobatto_k3():
     # interior nodes are the roots of P3': +-1/sqrt(5)
-    r = gauss_lobatto(3)
+    nodes, weights = gauss_lobatto(3)
     s5 = 1.0 / np.sqrt(5.0)
-    assert np.allclose(r.nodes, [-1.0, -s5, s5, 1.0], atol=1e-14)
-    assert np.allclose(r.weights, [1.0 / 6.0, 5.0 / 6.0, 5.0 / 6.0, 1.0 / 6.0], atol=1e-14)
+    assert np.allclose(nodes, [-1.0, -s5, s5, 1.0], atol=1e-14)
+    assert np.allclose(weights, [1.0 / 6.0, 5.0 / 6.0, 5.0 / 6.0, 1.0 / 6.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_quadrature_exactness(k):
-    r = gauss_lobatto(k)
-    assert r.nodes[0] == -1.0 and r.nodes[-1] == 1.0
-    assert np.all(np.diff(r.nodes) > 0)
-    assert np.all(r.weights > 0)
-    assert abs(r.weights.sum() - 2.0) <= 1e-13
+    nodes, weights = gauss_lobatto(k)
+    assert nodes[0] == -1.0 and nodes[-1] == 1.0
+    assert np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
+    assert abs(weights.sum() - 2.0) <= 1e-13
     for m in range(2 * k):
         exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
-        assert abs(np.sum(r.weights * r.nodes**m) - exact) <= 1e-12, f"moment {m}"
+        assert abs(np.sum(weights * nodes**m) - exact) <= 1e-12, f"moment {m}"
 
 
 @pytest.mark.parametrize("k", [0, 17, -3])
@@ -47,10 +47,10 @@ def test_gauss_lobatto_rejects_bad_degree(k):
 
 
 def test_diff_matrix_kills_constants_and_differentiates_linears():
-    r = gauss_lobatto(4)
-    D = lagrange_diff_matrix(r.nodes)
+    nodes, _ = gauss_lobatto(4)
+    D = lagrange_diff_matrix(nodes)
     assert np.max(np.abs(D @ np.ones(5))) <= 1e-14 * np.max(np.abs(D))
-    assert np.allclose(D @ r.nodes, np.ones(5), atol=1e-13)
+    assert np.allclose(D @ nodes, np.ones(5), atol=1e-13)
 
 
 def test_build_mesh_neumann_mass():
