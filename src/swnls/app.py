@@ -459,11 +459,12 @@ def builtin_scenario(name: str) -> Scenario:
 
 def _builtin(name, init, *, bathymetry=BathymetrySpec(), boundary=BOUNDARY_NEUMANN,
              half_width=2.0, eps=0.01, times=(0.6,), sponge=None) -> Scenario:
-    """A built-in scenario: g = 1 and output under out/<name>."""
+    """A built-in scenario: g = 1 and output in <name> under OutputSpec's default directory."""
     return Scenario(name=name, g=1.0, eps=eps, init=init, bathymetry=bathymetry,
                     domain=DomainSpec(half_width=half_width, boundary=boundary),
                     sponge=sponge,
-                    output=OutputSpec(times=times, directory=os.path.join("out", name)))
+                    output=OutputSpec(times=times,
+                                      directory=os.path.join(OutputSpec.directory, name)))
 
 
 _BUILTINS = {sc.name: sc for sc in (

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+import oracles
 import swnls
 from swnls import app, diagnostics, exact, nls
 from swnls.madelung import WaveField
@@ -252,27 +253,19 @@ def test_criterion_08_oscillating_lake():
 # --- 9: exact-solution oracles -------------------------------------------------------
 
 def test_criterion_09_exact_oracles():
-    from test_exact import (GOLDEN_H_STAR, GOLDEN_U_STAR, bisection_star_oracle,
-                            swe_flux)
-
     d = exact.RiemannData(1.0, 0.0, 0.2, 0.0, 1.0)
     h_star, u_star = exact.star_state(d)
-    golden_ok = (abs(h_star - GOLDEN_H_STAR) <= 1e-10
-                 and abs(u_star - GOLDEN_U_STAR) <= 1e-10
-                 and abs(bisection_star_oracle(d) - GOLDEN_H_STAR) <= 1e-12)
+    golden_ok = (abs(h_star - oracles.GOLDEN_H_STAR) <= 1e-10
+                 and abs(u_star - oracles.GOLDEN_U_STAR) <= 1e-10
+                 and abs(oracles.bisection_star_oracle(d) - oracles.GOLDEN_H_STAR) <= 1e-12)
 
-    def depth_fn(h, hK, g):
-        if h <= hK:
-            return 2.0 * (math.sqrt(g * h) - math.sqrt(g * hK))
-        return (h - hK) * math.sqrt(0.5 * g * (h + hK) / (h * hK))
-
-    residual = abs(depth_fn(h_star, 1.0, 1.0) + depth_fn(h_star, 0.2, 1.0))
+    residual = abs(oracles.depth(h_star, 1.0, 1.0) + oracles.depth(h_star, 0.2, 1.0))
     res_ok = residual <= 1e-12
 
     s = exact.classify(d)
     S = s.right_head
-    qa, fa = swe_flux(0.2, 0.0, 1.0)
-    qb, fb = swe_flux(h_star, u_star, 1.0)
+    qa, fa = oracles.swe_flux(0.2, 0.0, 1.0)
+    qb, fb = oracles.swe_flux(h_star, u_star, 1.0)
     rh = max(abs(S * (0.2 - h_star) - (qa - qb)), abs(S * (qa - qb) - (fa - fb)))
     rh_ok = rh <= 1e-10
 
@@ -280,14 +273,14 @@ def test_criterion_09_exact_oracles():
     sv = exact.classify(dv)
     inv = 0.0
     for xi in np.linspace(sv.left_head + 1e-3, sv.left_tail - 1e-3, 20):
-        h, u = exact.sample(dv, sv, xi, 1.0)
+        h, u = oracles.sample(dv, sv, xi, 1.0)
         inv = max(inv, abs(u + 2 * math.sqrt(h) - (dv.u_left + 2 * dv.a_left)))
     for xi in np.linspace(sv.right_tail + 1e-3, sv.right_head - 1e-3, 20):
-        h, u = exact.sample(dv, sv, xi, 1.0)
+        h, u = oracles.sample(dv, sv, xi, 1.0)
         inv = max(inv, abs(u - 2 * math.sqrt(h) - (dv.u_right - 2 * dv.a_right)))
     inv_ok = inv <= 1e-12
 
-    sim_ok = all(exact.sample(dv, sv, 2.0 * x, 2.0 * t) == exact.sample(dv, sv, x, t)
+    sim_ok = all(oracles.sample(dv, sv, 2.0 * x, 2.0 * t) == oracles.sample(dv, sv, x, t)
                  for x, t in ((0.3, 0.5), (-0.9, 0.2), (1.4, 0.7)))
 
     ok = golden_ok and res_ok and rh_ok and inv_ok and sim_ok

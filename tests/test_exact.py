@@ -6,49 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from swnls.exact import (DRY_EVERYWHERE, RAREFACTION, SHOCK, SINGLE_RAREFACTION_DRY_LEFT,
-                         SINGLE_RAREFACTION_DRY_RIGHT, TWO_RAREFACTIONS_VACUUM,
-                         RiemannData, classify, lake_at_rest_exact, sample,
+from oracles import (DRY_EVERYWHERE, GOLDEN_H_STAR, GOLDEN_SHOCK_SPEED, GOLDEN_U_STAR,
+                     SINGLE_RAREFACTION_DRY_LEFT, SINGLE_RAREFACTION_DRY_RIGHT,
+                     TWO_RAREFACTIONS_VACUUM, bisection_star_oracle, depth, kind, sample,
+                     swe_flux)
+from swnls.exact import (RAREFACTION, SHOCK, RiemannData, classify, lake_at_rest_exact,
                          sample_profile, star_state, thacker_exact, thacker_plane)
-
-# Golden star state for (hL,uL,hR,uR) = (1,0,0.2,0), g=1, frozen from the
-# independent bisection oracle below (200 bisections on [hR, hL]).
-GOLDEN_H_STAR = 0.507871434456667
-GOLDEN_U_STAR = 0.574698018724920
-GOLDEN_SHOCK_SPEED = 0.948034388654238
-
-
-def _depth(h, hK, g):
-    if h <= hK:
-        return 2.0 * (math.sqrt(g * h) - math.sqrt(g * hK))
-    return (h - hK) * math.sqrt(0.5 * g * (h + hK) / (h * hK))
-
-
-def bisection_star_oracle(d: RiemannData, iters: int = 200) -> float:
-    """Plain bisection on the monotone depth-function sum, from the bracket
-    [min(h_L, h_R), max(h_L, h_R)] widened by doubling and for a fixed count;
-    independent of `star_state`'s closed-form bracket and stopping rule."""
-
-    def f(h):
-        return _depth(h, d.h_left, d.g) + _depth(h, d.h_right, d.g) + (d.u_right - d.u_left)
-
-    lo, hi = min(d.h_left, d.h_right), max(d.h_left, d.h_right)
-    if f(lo) > 0.0:
-        lo = 1e-12
-    while f(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def swe_flux(h, u, g):
-    return h * u, h * u * u + 0.5 * g * h * h
-
 
 _wet_depths = st.floats(0.01, 4.0)
 _depths = st.one_of(st.just(0.0), _wet_depths)
@@ -65,14 +28,14 @@ def _bits(a):
 
 def test_classify_dry_bed_right():
     s = classify(RiemannData(1.0, 0.0, 0.0, 0.0, 1.0))
-    assert s.kind == SINGLE_RAREFACTION_DRY_RIGHT
+    assert kind(s) == SINGLE_RAREFACTION_DRY_RIGHT
     assert s.left_head == pytest.approx(-1.0)
     assert s.left_tail == pytest.approx(2.0)
 
 
 def test_classify_dry_bed_left_mirror():
     s = classify(RiemannData(0.0, 0.0, 1.0, 0.0, 1.0))
-    assert s.kind == SINGLE_RAREFACTION_DRY_LEFT
+    assert kind(s) == SINGLE_RAREFACTION_DRY_LEFT
     assert s.right_head == pytest.approx(1.0)
     assert s.right_tail == pytest.approx(-2.0)
 
@@ -80,25 +43,26 @@ def test_classify_dry_bed_left_mirror():
 def test_classify_vacuum_generation():
     # 2(aL + aR) = 2(1 + sqrt 2) ~ 4.83 < uR - uL = 6
     s = classify(RiemannData(1.0, -3.0, 2.0, 3.0, 1.0))
-    assert s.kind == TWO_RAREFACTIONS_VACUUM
+    assert kind(s) == TWO_RAREFACTIONS_VACUUM
     assert s.left_tail == pytest.approx(-1.0)
     assert s.right_tail == pytest.approx(3.0 - 2.0 * math.sqrt(2.0))
 
 
 def test_classify_rarefaction_shock():
     s = classify(RiemannData(1.0, 0.0, 0.2, 0.0, 1.0))
-    assert s.kind == "rarefaction_shock"
+    assert kind(s) == "rarefaction_shock"
     assert s.left_wave == RAREFACTION and s.right_wave == SHOCK
 
 
 def test_classify_two_shocks():
     s = classify(RiemannData(1.0, 1.0, 1.0, -1.0, 1.0))
-    assert s.kind == "shock_shock"
+    assert kind(s) == "shock_shock"
     assert s.h_star > 1.0
 
 
 def test_classify_dry_everywhere():
     s = classify(RiemannData(0.0, 0.0, 0.0, 0.0, 1.0))
+    assert kind(s) == DRY_EVERYWHERE
     assert sample(RiemannData(0.0, 0.0, 0.0, 0.0, 1.0), s, 0.3, 1.0) == (0.0, 0.0)
 
 
@@ -123,18 +87,18 @@ def test_star_state_matches_frozen_golden_values():
 @example(1.0, 1.0, 1.0, -1.0, 1.0)
 def test_star_state_residual(h_left, u_left, h_right, u_right, g):
     d = RiemannData(h_left, u_left, h_right, u_right, g)
-    assume(classify(d).kind != TWO_RAREFACTIONS_VACUUM)
+    assume(kind(classify(d)) != TWO_RAREFACTIONS_VACUUM)
     h_star, _ = star_state(d)
     a_fans = 0.5 * (d.a_left + d.a_right) - 0.25 * (u_right - u_left)
     assert 0.0 < h_star <= a_fans * a_fans / g
-    res = _depth(h_star, h_left, g) + _depth(h_star, h_right, g) + u_right - u_left
+    res = depth(h_star, h_left, g) + depth(h_star, h_right, g) + u_right - u_left
     scale = max(1.0, abs(u_left) + abs(u_right) + d.a_left + d.a_right)
     assert abs(res) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("data", [RiemannData(0.0, 0.0, 1.0, 0.0),
-                                  RiemannData(1.0, 0.0, 0.0, 0.0),
-                                  RiemannData(1.0, -3.0, 2.0, 3.0)],
+@pytest.mark.parametrize("data", [RiemannData(0.0, 0.0, 1.0, 0.0, 1.0),
+                                  RiemannData(1.0, 0.0, 0.0, 0.0, 1.0),
+                                  RiemannData(1.0, -3.0, 2.0, 3.0, 1.0)],
                          ids=["dry_left", "dry_right", "vacuum"])
 def test_star_state_refuses_a_dry_side(data):
     with pytest.raises(ValueError, match="no two-wave star state"):
@@ -296,8 +260,8 @@ def _every_kind(test):
 
 
 def test_kind_states_reach_every_structure_kind():
-    for kind, state in _KIND_STATES.items():
-        assert classify(RiemannData(*state)).kind == kind
+    for label, state in _KIND_STATES.items():
+        assert kind(classify(RiemannData(*state, 1.0))) == label
 
 
 @settings(max_examples=300, deadline=None)
@@ -409,3 +373,6 @@ def test_riemann_data_validation():
         RiemannData(-1.0, 0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         RiemannData(1.0, 0.0, 1.0, 0.0, 0.0)
+    # g has no default: data without it are refused, not run at g = 1
+    with pytest.raises(TypeError):
+        RiemannData(1.0, 0.0, 1.0, 0.0)

@@ -1,4 +1,6 @@
 """Strang splitting, Crank-Nicolson dispersive step and sponge layers."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swnls import app
+from swnls.app import DiscretizationSpec
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh
 from swnls.nls import Stepper, dispersive_step, potential_half_step, run, strang_step
@@ -259,24 +263,58 @@ def test_strang_mass_decays_under_global_damping():
     assert np.all(np.diff(masses) < 0.0)
 
 
-def test_time_reversal_symmetry():
-    # conjugate formulation: conjugating before and after a step runs it backwards
-    m = build_mesh(-1.0, 1.0, 200, 1, PERIODIC)
-    eps = 0.1
+# lambda_max * dx^2 of M^-1 K by degree, dx the element length: stepping is
+# stable while Q = dt^2 * g * h_max * lambda_max / 4 <= 1 (README, "Validity regime")
+_LAMBDA_DX2 = {1: 4.0, 2: 24.0, 3: 74.3, 4: 183.3}
+
+
+def _return_error(wave, b, stepper, steps):
+    """Relative L2 distance to psi0 after `steps` steps, a conjugation, `steps`
+    steps and a conjugation: zero in exact arithmetic, since the conjugated
+    scheme runs the symmetric Strang step backwards."""
+    psi0 = wave.psi
+    for _ in range(steps):
+        wave = strang_step(wave, b, None, stepper, stepper.dt)
+    wave = wave.copy_with(np.conj(wave.psi))
+    for _ in range(steps):
+        wave = strang_step(wave, b, None, stepper, stepper.dt)
+    return np.linalg.norm(np.conj(wave.psi) - psi0) / np.linalg.norm(psi0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(1, 4), topology=st.sampled_from([NEUMANN, PERIODIC]),
+       eps=st.floats(0.05, 0.2), depth=st.floats(0.1, 2.0), ripple=st.floats(0.0, 0.5),
+       bed=st.floats(-1.0, 1.0), flow=st.floats(-0.5, 0.5), q=st.floats(0.01, 1.0),
+       steps=st.integers(10, 300), dx_over_eps=st.just(DiscretizationSpec.dx_over_eps))
+@example(1, PERIODIC, 0.1, 1.0, 0.3, 0.0, 0.2, 0.325, 20, 0.1)  # dt = 0.005, 200 elements
+@example(1, NEUMANN, 0.05, 2.0, 0.0, 0.0, 0.0, 1.0, 100, 0.05)  # on the bound
+def test_time_reversal_symmetry(degree, topology, eps, depth, ripple, bed, flow, q, steps,
+                                dx_over_eps):
+    # a smooth depth, bed and velocity at any step within the bound, no sponge
+    elements = round(2.0 / (dx_over_eps * eps))
+    m = build_mesh(-1.0, 1.0, elements, degree, topology)
     x = m.coords
-    psi0 = np.sqrt(1 + 0.3 * np.cos(np.pi * x)) * np.exp(1j * 0.2 * np.sin(np.pi * x) / eps)
-    stepper = Stepper(m, g=1.0, eps=eps, dt=0.005)
-    b = np.zeros(m.num_nodes)
-    w = make_field(m, psi0, eps)
-    n = 20
-    for _ in range(n):
-        w = strang_step(w, b, None, stepper, 0.005)
-    for _ in range(n):
-        w = w.copy_with(np.conj(w.psi))
-        w = strang_step(w, b, None, stepper, 0.005)
-        w = w.copy_with(np.conj(w.psi))
-    rel = np.linalg.norm(w.psi - psi0) / np.linalg.norm(psi0)
-    assert rel <= 1e-8, rel
+    h = depth * (1.0 + ripple * np.cos(np.pi * x))
+    psi0 = np.sqrt(h) * np.exp(1j * flow * np.sin(np.pi * x) / eps)
+    dx, g = 2.0 / elements, 1.0
+    dt = 2.0 * dx * np.sqrt(q / (g * h.max() * _LAMBDA_DX2[degree]))  # Q = q
+    stepper = Stepper(m, g=g, eps=eps, dt=dt)
+    rel = _return_error(make_field(m, psi0, eps), bed * np.cos(2.0 * np.pi * x), stepper, steps)
+    assert rel <= 1e-10, rel
+
+
+@pytest.mark.parametrize("h_left, dt_over_dx, q", [(1.0, 1.1, 1.21), (2.0, 1.0, 2.0)])
+def test_time_reversal_fails_past_the_step_bound(h_left, dt_over_dx, q):
+    # the bound is sharp: past it, rounding grows and a degree-1 Neumann dam
+    # break into depth 0.2 at eps 0.04 does not return (measured 3.9e-6 and 1.3)
+    sc = replace(app.builtin_scenario("dam_break_wet"), eps=0.04)
+    sc = replace(sc, init=replace(sc.init, h_left=h_left),
+                 discretization=DiscretizationSpec(dt=dt_over_dx * sc.dx))
+    assert sc.dt**2 * sc.g * h_left * _LAMBDA_DX2[1] / (4.0 * sc.dx**2) == pytest.approx(q)
+    m = sc.build_mesh()
+    stepper = Stepper(m, g=sc.g, eps=sc.eps, dt=sc.dt)
+    rel = _return_error(sc.initial_field(m), sc.bathymetry_values(m.coords), stepper, 600)
+    assert rel > 1e-7, rel
 
 
 # --- run orchestration ----------------------------------------------------------
