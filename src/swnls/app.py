@@ -544,19 +544,29 @@ def _write_csv(path: str, header: str, table: np.ndarray) -> None:
             fh.write(csvtext.block_text(table[start:start + _EMIT_BLOCK_ROWS]))
 
 
+# Each sweep field (--field's choices, the first its default) and the prefix of
+# its snapshot columns <prefix>_num and <prefix>_ref, which is also its
+# ReferenceSamples attribute.
+_FIELDS = {"height": "h", "discharge": "q", "surface": "eta"}
+
+
+def _snapshot_columns(wave, hydro, refs: ReferenceSamples, b: np.ndarray) -> dict:
+    """Every snapshot column at every node, keyed by its header name."""
+    return {"x": wave.mesh.coords, "h_num": hydro.h, "h_ref": refs.h, "q_num": hydro.q,
+            "q_ref": refs.q, "re_psi": wave.psi.real, "im_psi": wave.psi.imag, "b": b,
+            "eta_num": hydro.h + b, "eta_ref": refs.eta}
+
+
 def emit_snapshot(state: tuple, refs: ReferenceSamples, path: str, *,
                   bathymetry: np.ndarray, interior: np.ndarray) -> None:
     """Write one snapshot CSV (17 significant digits, nan for missing refs).
 
     ``interior`` masks out sponge-layer nodes; rows are emitted in increasing x.
     """
-    wave, hydro = state
-    x = wave.mesh.coords
     idx = np.flatnonzero(interior)  # mesh nodes are ordered left to right
-    b = np.asarray(bathymetry)
-    columns = (x, hydro.h, refs.h, hydro.q, refs.q, wave.psi.real, wave.psi.imag,
-               b, hydro.h + b, refs.eta)
-    _write_csv(path, SNAPSHOT_HEADER, np.column_stack([col[idx] for col in columns]))
+    columns = _snapshot_columns(*state, refs, np.asarray(bathymetry))
+    _write_csv(path, SNAPSHOT_HEADER, np.column_stack(
+        [columns[name][idx] for name in SNAPSHOT_HEADER.split(",")]))
 
 
 def interior_mask(scenario: Scenario, m: meshmod.Mesh1D) -> np.ndarray:
@@ -614,21 +624,26 @@ def run_and_write(scenario: Scenario, out_dir: str) -> nls.RunResult:
     return result
 
 
-def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
-          field_name: str = diagnostics.HEIGHT,
+def sweep(scenario: Scenario, eps_list: list[float], *, norm: str, field_name: str,
           out_dir: Optional[str] = None) -> tuple[list[tuple[float, float]], Optional[float]]:
-    """Run the scenario at each eps, measure the final-time error in the
-    scenario's default window, and fit the convergence order.
+    """Run the scenario at each eps, measure the final-time error of the
+    field's snapshot column <f>_num against <f>_ref in the scenario's default
+    window, and fit the convergence order.
 
     No order (None) is fitted when a run's error is at rounding level, at
     most ``_ROUNDING_LEVEL`` times the same norm of its numerical field: the
     slope of such errors measures rounding, not convergence.
 
     The dispersionless reference and the window do not depend on eps.  A
-    request that cannot give an order is refused before the first run: an eps
-    the scenario rejects, fewer than two eps or a repeated one, or a field
-    without a reference.
+    request that cannot give an order is refused before the first run: an
+    unknown norm or field, an eps the scenario rejects, fewer than two eps or
+    a repeated one, or a field without a reference.
     """
+    if norm not in diagnostics.NORMS:
+        raise ValueError(f"--norm must be one of {', '.join(diagnostics.NORMS)}, got {norm!r}")
+    if field_name not in _FIELDS:
+        raise ValueError(f"--field must be one of {', '.join(_FIELDS)}, got {field_name!r}")
+    prefix = _FIELDS[field_name]
     try:
         scenarios = [replace(scenario, eps=eps) for eps in eps_list]
     except ValueError as err:
@@ -641,30 +656,24 @@ def sweep(scenario: Scenario, eps_list: list[float], norm: str = diagnostics.L1,
     if not -scenario.domain.half_width <= lo < hi <= scenario.domain.half_width:
         raise ValueError(f"{scenario.name}: its error window [{lo:.4g}, {hi:.4g}] is not "
                          f"inside domain.half_width {scenario.domain.half_width:g}")
-
-    def ref(x, t):
-        refs = reference_samples(scenario, x, t)
-        return {diagnostics.HEIGHT: refs.h, diagnostics.DISCHARGE: refs.q,
-                diagnostics.SURFACE: refs.eta}[field_name]
-
-    if np.isnan(ref(np.array(window), t_final)).any():
+    if np.isnan(getattr(reference_samples(scenario, np.array(window), t_final), prefix)).any():
         raise ValueError(f"--field {field_name}: {scenario.name} has no {field_name} "
                          f"reference")
     rows = []
     rounding = False
     for sc in scenarios:
         result = _run(sc)
-        _, hydro = result.snapshots[-1]
-        report = diagnostics.error_norm(hydro, ref, window, kind=norm,
-                                        field=field_name,
-                                        bathymetry=result.bathymetry)
-        rows.append((sc.eps, report.value))
-        size = diagnostics.error_norm(hydro, lambda x, t: np.zeros_like(x), window,
-                                      kind=norm, field=field_name,
-                                      bathymetry=result.bathymetry)
-        rounding |= report.value <= _ROUNDING_LEVEL * size.value
+        wave, hydro = result.snapshots[-1]
+        refs = reference_samples(sc, result.mesh.coords, hydro.time)
+        columns = _snapshot_columns(wave, hydro, refs, result.bathymetry)
+        num = columns[f"{prefix}_num"]
+        error = diagnostics.windowed_norm(result.mesh, num - columns[f"{prefix}_ref"],
+                                          window, norm).value
+        rows.append((sc.eps, error))
+        rounding |= error <= _ROUNDING_LEVEL * diagnostics.windowed_norm(
+            result.mesh, num, window, norm).value
         print(f"eps={sc.eps:<10g} {norm}({field_name}) over "
-              f"[{window[0]:.4g}, {window[1]:.4g}] = {report.value:.6e}")
+              f"[{window[0]:.4g}, {window[1]:.4g}] = {error:.6e}")
     order = None if rounding else diagnostics.convergence_order(rows)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -704,11 +713,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     p_sweep.add_argument("scenario", help="builtin name or scenario file path")
     p_sweep.add_argument("--eps-list", required=True,
                          help="comma-separated eps values, e.g. 0.08,0.04,0.02")
-    p_sweep.add_argument("--norm", choices=(diagnostics.L1, diagnostics.L2, diagnostics.LINF),
-                         default=diagnostics.L1)
-    p_sweep.add_argument("--field", choices=(diagnostics.HEIGHT, diagnostics.DISCHARGE,
-                                             diagnostics.SURFACE),
-                         default=diagnostics.HEIGHT)
+    p_sweep.add_argument("--norm", choices=diagnostics.NORMS, default=diagnostics.L1)
+    p_sweep.add_argument("--field", choices=tuple(_FIELDS), default=next(iter(_FIELDS)))
     p_sweep.add_argument("--out", default=None)
 
     sub.add_parser("list", help="list builtin scenarios")

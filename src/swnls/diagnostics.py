@@ -2,9 +2,9 @@
 
 Energy is evaluated on the wave-function side (gradient form), which stays
 well defined in vacuum; besides the total it reports the potential part and
-the height-gradient (Fisher) part from |psi|, and no kinetic split.  Error
-norms are restricted to whole elements inside the requested window so that
-weighted norms equal the restricted quadrature.
+the height-gradient (Fisher) part from |psi|, and no kinetic split.  Norms
+of nodal arrays are restricted to whole elements inside the requested window
+so that weighted norms equal the restricted quadrature.
 """
 from __future__ import annotations
 
@@ -19,10 +19,7 @@ from .mesh import element_derivatives
 L1 = "L1"
 L2 = "L2"
 LINF = "Linf"
-
-HEIGHT = "height"
-DISCHARGE = "discharge"
-SURFACE = "surface"
+NORMS = (L1, L2, LINF)
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ def _window_elements(mesh, lo: float, hi: float) -> np.ndarray:
 
 
 def windowed_norm(mesh, diff: np.ndarray, window: tuple[float, float],
-                  kind: str = L1) -> ErrorReport:
+                  kind: str) -> ErrorReport:
     """Quadrature-weighted norm of a nodal field over the window.
 
     L1 and L2 weight nodal values with the element quadrature (the restricted
@@ -100,30 +97,14 @@ def windowed_norm(mesh, diff: np.ndarray, window: tuple[float, float],
 
 
 def error_norm(state: HydroState, ref: Callable, window: tuple[float, float],
-               kind: str = L1, field: str = HEIGHT,
-               bathymetry: np.ndarray | None = None) -> ErrorReport:
-    """Windowed norm of (numerical - reference) for one hydrodynamic field.
-
-    ``ref(x, t)`` must return the reference values of the chosen field at the
-    node coordinates x and time t.  The surface field requires the nodal
-    bathymetry to form eta = h + b.
-    """
-    mesh = state.mesh
-    if field == HEIGHT:
-        num = state.h
-    elif field == DISCHARGE:
-        num = state.q
-    elif field == SURFACE:
-        if bathymetry is None:
-            raise ValueError("surface errors need the nodal bathymetry")
-        num = state.h + np.asarray(bathymetry)
-    else:
-        raise ValueError(f"unknown field {field!r}")
-    ref_vals = np.asarray(ref(mesh.coords, state.time), dtype=float)
-    if ref_vals.shape != num.shape:
+               kind: str = L1) -> ErrorReport:
+    """Windowed norm of h - ref(x, t), ``ref`` giving the reference height at
+    the node coordinates x and time t."""
+    ref_vals = np.asarray(ref(state.mesh.coords, state.time), dtype=float)
+    if ref_vals.shape != state.h.shape:
         raise ValueError(f"reference shape {ref_vals.shape} does not match "
-                         f"node count {num.shape}")
-    return windowed_norm(mesh, num - ref_vals, window, kind)
+                         f"node count {state.h.shape}")
+    return windowed_norm(state.mesh, state.h - ref_vals, window, kind)
 
 
 def convergence_order(errors: Sequence[tuple[float, float]]) -> float:

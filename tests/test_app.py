@@ -901,7 +901,8 @@ def test_cli_run_scenario_file(tmp_path):
     ("dam_break_dry", ["--eps-list", "0.08"], "--eps-list"),
     ("dam_break_dry", ["--eps-list", "0.08,0.08"], "--eps-list"),
     ("dam_break_dry", ["--eps-list", "0.08,-1"], "--eps-list"),
-    ("oscillating_lake", ["--eps-list", "0.16,0.08", "--field", "discharge"], "--field"),
+    ("oscillating_lake", ["--eps-list", "0.16,0.08", "--field", "discharge"],
+     "--field discharge: oscillating_lake has no discharge reference"),
     # the carrier of a periodic Riemann init must close at the seam: 1/eps whole
     ("plane_wave", ["--eps-list", "0.3,0.15"], "--eps-list"),
     ("dam_break_dry", ["--eps-list", "0.16,,0.08,"], "--eps-list"),
@@ -987,6 +988,45 @@ def test_cli_sweep(tmp_path, capsys):
         assert len(table) == 3
 
 
+@pytest.mark.parametrize("argv, errors, window, order", [
+    (["dam_break_dry", "--field", "discharge", "--norm", "L2"],
+     ("4.917454e-02", "3.346736e-02"), "[-2, 2]", "0.555"),
+    (["oscillating_lake", "--field", "surface", "--norm", "Linf"],
+     ("8.252902e-02", "5.369869e-02"), "[-2, 2]", "0.620"),
+    (["lake_at_rest_dry", "--field", "surface"],
+     ("1.886755e-01", "8.514982e-02"), "[-2, 2]", "1.148"),
+    (["dam_break_wet"], ("6.345534e-02", "4.119377e-02"), "[-1.2, 0.3688]", "0.623"),
+], ids=["discharge_L2", "surface_Linf", "surface_L1_dry_lake", "height_L1_wet_window"])
+def test_cli_sweep_prints_each_field_and_norm(tmp_path, capsys, argv, errors, window, order):
+    # each sweep measures the snapshot's own <f>_num against <f>_ref columns
+    norm = argv[argv.index("--norm") + 1] if "--norm" in argv else "L1"
+    field = argv[argv.index("--field") + 1] if "--field" in argv else "height"
+    out = tmp_path / "sweep_out"
+    assert cli_main(["sweep", *argv, "--eps-list", "0.16,0.08", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"eps={eps:<10g} {norm}({field}) over {window} = {err}"
+        for eps, err in zip((0.16, 0.08), errors)] + [f"fitted convergence order: {order}"]
+    table = (out / "error_table.csv").read_text().splitlines()
+    assert table[0] == f"eps,error_{norm}_{field}"
+    assert [float(row.split(",")[1]) for row in table[1:]] == pytest.approx(
+        [float(err) for err in errors], rel=1e-6)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"norm": "L3", "field_name": "height"}, "--norm must be one of L1, L2, Linf, got 'L3'"),
+    ({"norm": "L1", "field_name": "vorticity"},
+     "--field must be one of height, discharge, surface, got 'vorticity'"),
+], ids=["unknown_norm", "unknown_field"])
+def test_sweep_refuses_an_unknown_norm_or_field_before_running(monkeypatch, kwargs, message):
+    # the CLI's choices guard both; a library call reaches the check
+    def no_run(scenario):
+        pytest.fail(f"nls.run called at eps={scenario.eps}")
+
+    monkeypatch.setattr(app.nls, "run", no_run)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        app.sweep(builtin_scenario("dam_break_dry"), [0.16, 0.08], **kwargs)
+
+
 def test_cli_sweep_fits_no_order_from_rounding_level_errors(tmp_path, capsys):
     # the plane wave's height stays 1 to rounding at every eps
     out = tmp_path / "sweep_out"
@@ -996,7 +1036,7 @@ def test_cli_sweep_fits_no_order_from_rounding_level_errors(tmp_path, capsys):
     assert "fitted convergence order" not in printed
     assert len((out / "error_table.csv").read_text().splitlines()) == 3
     sc = builtin_scenario("plane_wave")
-    rows, order = app.sweep(sc, [0.2, 0.1])
+    rows, order = app.sweep(sc, [0.2, 0.1], norm="L1", field_name="height")
     assert order is None and all(0.0 < err < 1e-11 for _, err in rows)
 
 
