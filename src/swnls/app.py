@@ -8,17 +8,15 @@ from its dataclass's fields (unknown keys rejected, keys without a default
 required), ``Scenario`` checks the values, and ``serialize_scenario`` writes
 them back, so every scenario round-trips exactly.
 """
-from __future__ import annotations
-
+# No `from __future__ import annotations`: the dataclasses are the schema, and
+# `_fields` reads their annotations as types at run time.
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from typing import (ClassVar, Literal, NamedTuple, Optional, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import ClassVar, Literal, NamedTuple, Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -140,12 +138,9 @@ def _options(hint) -> tuple:
     return (get_args(hint),) if get_origin(hint) is Literal else get_args(hint) or (hint,)
 
 
-@functools.cache
 def _fields(spec: type) -> tuple:
-    """(field, `_options` of its annotation) for each field of the dataclass
-    `spec`, resolved once per class."""
-    hints = get_type_hints(spec)
-    return tuple((f, _options(hints[f.name])) for f in fields(spec))
+    """(field, `_options` of its annotation) for each field of the dataclass `spec`."""
+    return tuple((f, _options(f.type)) for f in fields(spec))
 
 
 # The value each scalar annotation of a scenario field admits, as a refusal names it.

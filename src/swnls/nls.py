@@ -9,9 +9,9 @@ angle for less work (see ``potential_half_step``).  The
 dispersive system matrix is constant per step size.  ``run`` builds one
 ``Stepper`` per run, which factorizes the matrix for the regular step dt when
 it is made and keeps that factorization as long as it lives; the shortened
-step before an output time is factorized for that step only.  In 1D the
-banded system always has a sparse LU factorization, so that is the only
-solver.
+step before an output time is factorized by ``dispersive_step`` for that step
+only.  In 1D the banded system always has a sparse LU factorization, so that
+is the only solver.
 
 The factorization is SuperLU's.  Its column ordering depends on the mesh
 topology; the comment at the line in ``_crank_nicolson`` that chooses it says
@@ -78,13 +78,6 @@ class Stepper:
         self.dt = dt
         self._dt_solve = _crank_nicolson(mesh, eps, dt)
 
-    def solve(self, psi: np.ndarray, tau: float) -> np.ndarray:
-        """psi after one Crank-Nicolson step over tau; a tau other than dt is
-        factorized for this call only."""
-        if tau == self.dt:
-            return self._dt_solve(psi)
-        return _crank_nicolson(self.mesh, self.eps, tau)(psi)
-
 
 def potential_half_step(wave: WaveField, b: np.ndarray,
                         sponge: Optional[np.ndarray], stepper: Stepper,
@@ -116,10 +109,12 @@ def potential_half_step(wave: WaveField, b: np.ndarray,
 def dispersive_step(wave: WaveField, mesh: Mesh1D, stepper: Stepper,
                     tau: float) -> WaveField:
     """One Crank-Nicolson step of the dispersive subflow over tau on the
-    stepper's mesh."""
+    stepper's mesh, with the stepper's factorization when tau is its dt; any
+    other tau is factorized for this call only."""
     if mesh is not stepper.mesh:
         raise ValueError("dispersive_step: the mesh is not the one the stepper was made for")
-    return wave.copy_with(stepper.solve(wave.psi, tau))
+    solve = stepper._dt_solve if tau == stepper.dt else _crank_nicolson(mesh, stepper.eps, tau)
+    return wave.copy_with(solve(wave.psi))
 
 
 def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray],

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 import oracles
-import swnls
 from swnls import app, diagnostics, exact, nls
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh, gauss_lobatto
@@ -80,7 +79,7 @@ def test_criterion_02_splitting_invariants():
     rng = np.random.default_rng(2)
     psi = rng.normal(size=mesh.num_nodes) + 1j * rng.normal(size=mesh.num_nodes)
     b = rng.normal(size=mesh.num_nodes)
-    stepper = swnls.Stepper(mesh, g=1.0, eps=0.04, dt=0.002)
+    stepper = nls.Stepper(mesh, g=1.0, eps=0.04, dt=0.002)
     w1 = nls.potential_half_step(WaveField(mesh, psi, 0.04), b, None, stepper, 0.001)
     mod_err = np.max(np.abs(np.abs(w1.psi) - np.abs(psi))) / np.max(np.abs(psi))
 
@@ -110,7 +109,7 @@ def test_criterion_03_temporal_order():
     psi_exact = A * np.exp(1j * (kappa * mesh.coords - mu * T) / eps)
     errs = []
     for nsteps in (100, 200, 400):
-        stepper = swnls.Stepper(mesh, g=g, eps=eps, dt=T / nsteps)
+        stepper = nls.Stepper(mesh, g=g, eps=eps, dt=T / nsteps)
         w = WaveField(mesh, psi0.copy(), eps)
         for _ in range(nsteps):
             w = nls.strang_step(w, b, None, stepper, stepper.dt)

@@ -844,15 +844,6 @@ def test_tabulated_bathymetry():
         parse_scenario(json.dumps(doc))
 
 
-def test_star_import_binds_exactly_the_public_names():
-    import swnls
-    namespace = {}
-    exec("from swnls import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(swnls.__all__)
-    assert len(set(swnls.__all__)) == len(swnls.__all__)
-
-
 def test_cli_list(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out.splitlines()
