@@ -11,12 +11,15 @@ them back, so every scenario round-trips exactly.
 # No `from __future__ import annotations`: the dataclasses are the schema, and
 # `_fields` reads their annotations as types at run time.
 import argparse
+import itertools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from typing import ClassVar, Literal, NamedTuple, Optional, Union, get_args, get_origin
+from typing import Callable, ClassVar, Literal, NamedTuple, Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -590,32 +593,61 @@ def default_error_window(scenario: Scenario, t: float) -> tuple[float, float]:
     return (-L, L)
 
 
-def _run(scenario: Scenario) -> nls.RunResult:
+def _run(scenario: Scenario, on_snapshot: Optional[Callable] = None) -> nls.RunResult:
     """nls.run, with running out of memory reported against the mesh size."""
     try:
-        return nls.run(scenario)
+        return nls.run(scenario, on_snapshot)
     except MemoryError as err:
         lay = scenario.layout()
         raise MemoryError(f"out of memory for a mesh of {lay.nodes:.6g} nodes, sized by "
                           f"{lay.keys}: {err}") from None
 
 
+def _missing_root(path: str) -> Optional[str]:
+    """The outermost directory on `path` that does not exist yet, or None."""
+    missing = None
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        missing, path = path, os.path.dirname(path)
+    return missing
+
+
 def run_and_write(scenario: Scenario, out_dir: str) -> nls.RunResult:
     """Run a scenario, write snapshot CSVs, the diagnostics log and the
-    effective scenario document into `out_dir`."""
-    result = _run(scenario)
-    os.makedirs(out_dir, exist_ok=True)
-    interior = interior_mask(scenario, result.mesh)
-    with open(os.path.join(out_dir, "scenario_used.json"), "w") as fh:
-        fh.write(serialize_scenario(scenario) + "\n")
-    for i, ((wave, hydro), t) in enumerate(zip(result.snapshots, scenario.output.times)):
-        refs = reference_samples(scenario, result.mesh.coords, t)
-        emit_snapshot((wave, hydro), refs,
-                      os.path.join(out_dir, f"snapshot_{i:04d}.csv"),
-                      bathymetry=result.bathymetry, interior=interior)
-    _write_csv(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTICS_HEADER,
-               np.array([(t, rep.mass, rep.total, rep.fisher, rep.potential)
-                         for t, rep in zip(scenario.output.times, result.energies)]))
+    effective scenario document into `out_dir`.
+
+    Each snapshot is written as the run reaches it, into a staging directory
+    inside `out_dir`, and every file takes its name there only once the run
+    has succeeded.  A run that fails removes the staging directory, or every
+    directory it created, so it leaves the file system as it found it.
+    """
+    created = _missing_root(out_dir)
+    staging = None
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".swnls-staging-", dir=out_dir)
+        index = itertools.count()
+
+        def write_snapshot(wave, hydro):
+            m = wave.mesh
+            emit_snapshot((wave, hydro), reference_samples(scenario, m.coords, wave.time),
+                          os.path.join(staging, f"snapshot_{next(index):04d}.csv"),
+                          bathymetry=scenario.bathymetry_values(m.coords),
+                          interior=interior_mask(scenario, m))
+
+        result = _run(scenario, write_snapshot)
+        with open(os.path.join(staging, "scenario_used.json"), "w") as fh:
+            fh.write(serialize_scenario(scenario) + "\n")
+        _write_csv(os.path.join(staging, "diagnostics.csv"), DIAGNOSTICS_HEADER,
+                   np.array([(t, rep.mass, rep.total, rep.fisher, rep.potential)
+                             for t, rep in zip(scenario.output.times, result.energies)]))
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        os.rmdir(staging)
+    except BaseException:
+        if created or staging:  # the directories this run made, or else its staging one
+            shutil.rmtree(created or staging, ignore_errors=True)
+        raise
     return result
 
 
@@ -658,7 +690,7 @@ def sweep(scenario: Scenario, eps_list: list[float], *, norm: str, field_name: s
     rounding = False
     for sc in scenarios:
         result = _run(sc)
-        wave, hydro = result.snapshots[-1]
+        wave, hydro = result.final
         refs = reference_samples(sc, result.mesh.coords, hydro.time)
         columns = _snapshot_columns(wave, hydro, refs, result.bathymetry)
         num = columns[f"{prefix}_num"]

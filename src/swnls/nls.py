@@ -10,12 +10,16 @@ dispersive system matrix is constant per step size.  ``run`` builds one
 ``Stepper`` per run, which factorizes the matrix for the regular step dt when
 it is made and keeps that factorization as long as it lives; the shortened
 step before an output time is factorized by ``dispersive_step`` for that step
-only.  In 1D the banded system always has a sparse LU factorization, so that
-is the only solver.
+only.  ``run`` hands each output time's snapshot to the caller as it reaches
+it and keeps only the last, so a run's memory does not grow with the number
+of output times.
 
-The factorization is SuperLU's.  Its column ordering depends on the mesh
-topology; the comment at the line in ``_crank_nicolson`` that chooses it says
-why.
+The factorization depends on the mesh.  A degree-1 Neumann matrix is
+tridiagonal: LAPACK's ``zgttrf`` factorizes its three diagonals and the step
+is taken in midpoint form (see ``_crank_nicolson``).  Every other matrix, and
+the 2-node mesh, which scipy's ``zgttrf`` wrapper refuses, is factorized by
+SuperLU, with a column ordering that depends on the mesh topology; the
+comment at the line that chooses it says why.
 """
 from __future__ import annotations
 
@@ -25,9 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import diagnostics
-from .madelung import WaveField, recover
+from .madelung import HydroState, WaveField, recover
 from .mesh import PERIODIC, Mesh1D
 
 _TIME_SNAP = 1e-12
@@ -36,21 +41,44 @@ _TIME_SNAP = 1e-12
 def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarray], np.ndarray]:
     """Crank-Nicolson update psi -> psi' of the linear dispersive subflow over tau.
 
-    Solves [i*(eps/tau)*M - (eps^2/4)*K] psi' = [i*(eps/tau)*M + (eps^2/4)*K] psi
-    with the (banded) system matrix factorized here, once, by SuperLU.
+    Solves A psi' = B psi with A = i*(eps/tau)*M - (eps^2/4)*K and
+    B = i*(eps/tau)*M + (eps^2/4)*K, the matrix A factorized here, once.
     """
+    K = mesh.stiffness
+    if mesh.degree == 1 and mesh.topology != PERIODIC and mesh.num_nodes > 2:
+        # A is tridiagonal and M diagonal.  Since B = 2i*(eps/tau)*M - A, the
+        # step is psi' = A^-1 (2i*(eps/tau)*M psi) - psi: a solve for twice the
+        # midpoint value, then the extrapolation (the implicit midpoint rule),
+        # with no product by B.  The solve divides A by i*eps/tau, so the
+        # matrix is M + i*beta*K and the right-hand side 2*M psi: the same
+        # map, with less rounding bias.  On the oscillating lake to t = 4 the
+        # mass drifts by 7.7e-14 this way, by 2.8e-12 with A itself and by
+        # 8.2e-14 with SuperLU.
+        beta = 0.25 * eps * tau
+        dl, d, du, du2, ipiv, info = lapack.zgttrf(
+            (1j * beta) * K.diagonal(-1), mesh.mass + (1j * beta) * K.diagonal(),
+            (1j * beta) * K.diagonal(1))
+        if info != 0:
+            raise RuntimeError(f"Crank-Nicolson matrix for tau = {tau:.6g} is singular")
+        twice_mass = 2.0 * mesh.mass
+
+        def midpoint_step(psi: np.ndarray) -> np.ndarray:
+            out, _ = lapack.zgttrs(dl, d, du, du2, ipiv, twice_mass * psi, overwrite_b=True)
+            return np.subtract(out, psi, out=out)
+
+        return midpoint_step
     a = eps / tau
     c = 0.25 * eps * eps
     M = sparse.diags(mesh.mass)
-    K = mesh.stiffness
     b_mat = ((1j * a) * M + c * K).tocsr()
     # A periodic matrix, banded plus two corner blocks, is ordered by minimum
     # degree on A^T + A, the usual choice for a structurally symmetric matrix:
     # its solve is several times faster than with SuperLU's default COLAMD, at
-    # the same fill.  A Neumann matrix keeps COLAMD, though MMD_AT_PLUS_A would
-    # solve it faster at the same fill, only because its degree >= 2 output is
-    # rounding-sensitive at dt = dx and the benchmark's riemann_steps degree-2
-    # gate (1e-6 relative) pins its digits, which another ordering changes.
+    # the same fill.  COLAMD now serves only degree >= 2 Neumann meshes (and
+    # the 2-node mesh): MMD_AT_PLUS_A would solve them faster at the same
+    # fill, but their output is rounding-sensitive at dt = dx and the
+    # benchmark's riemann_steps degree-2 gate (1e-6 relative) pins its digits,
+    # which another ordering changes.
     # The cause is the step size, not the degree: the stepping amplifies
     # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
     # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
@@ -129,17 +157,18 @@ def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray],
 
 @dataclass(eq=False)
 class RunResult:
-    """Snapshots plus per-snapshot diagnostics of a completed run."""
+    """The last snapshot plus per-snapshot diagnostics of a completed run."""
 
     mesh: Mesh1D
     bathymetry: np.ndarray
-    snapshots: list  # list of (WaveField, HydroState) at the requested times
+    final: tuple     # (WaveField, HydroState) at the last requested time
     energies: list   # EnergyReport per snapshot
     steps_taken: int
 
 
-def run(scenario) -> RunResult:
-    """Run a scenario to each requested output time and collect snapshots.
+def run(scenario,
+        on_snapshot: Optional[Callable[[WaveField, HydroState], None]] = None) -> RunResult:
+    """Run a scenario to each requested output time.
 
     The scenario provides the setup (see app.Scenario): mesh construction,
     nodal bathymetry, the initial wave field, an optional sponge profile, and
@@ -147,6 +176,9 @@ def run(scenario) -> RunResult:
     step before each output time is shortened so snapshots land exactly on
     the requested times; a remainder within roundoff of dt is a full step,
     not a shortened one with a factorization of its own.
+
+    Each snapshot (wave, hydro) goes to ``on_snapshot`` as soon as the run
+    reaches its time, in order; only the last is kept, on the result.
     """
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)
@@ -154,11 +186,9 @@ def run(scenario) -> RunResult:
     stepper = Stepper(mesh, scenario.g, scenario.eps, scenario.dt)
     wave = scenario.initial_field(mesh)
 
-    times = list(scenario.output.times)
-    snapshots = []
     energies = []
     steps = 0
-    for t_out in times:
+    for t_out in scenario.output.times:
         snap = _TIME_SNAP * max(1.0, t_out)
         while (remaining := t_out - wave.time) > snap:
             tau = stepper.dt if remaining > stepper.dt - snap else remaining
@@ -168,7 +198,9 @@ def run(scenario) -> RunResult:
                 raise RuntimeError(f"non-finite wave function after step {steps} "
                                    f"(t = {wave.time:.6g})")
         wave.time = t_out  # snap away accumulated roundoff
-        snapshots.append((wave, recover(wave)))
+        hydro = recover(wave)
         energies.append(diagnostics.energy(wave, b, stepper.g))
-    return RunResult(mesh=mesh, bathymetry=b, snapshots=snapshots, energies=energies,
+        if on_snapshot is not None:
+            on_snapshot(wave, hydro)
+    return RunResult(mesh=mesh, bathymetry=b, final=(wave, hydro), energies=energies,
                      steps_taken=steps)

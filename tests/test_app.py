@@ -580,19 +580,44 @@ def test_cli_file_system_errors_exit_2(tmp_path, capsys, case):
 
 def test_cli_numeric_failure_exits_1(tmp_path, monkeypatch, capsys):
     from swnls import nls
+    sc = _tiny_scenario(tmp_path)  # output at t = 0, then at t = 0.05
+    scenario_file = tmp_path / "tiny.json"
+    scenario_file.write_text(serialize_scenario(sc))
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "snapshot_0000.csv").write_bytes(b"x\n1\n")
+    (old / "diagnostics.csv").write_bytes(b"t\n0\n")
+    staged = []
 
     def non_finite_step(*args, **kwargs):
+        staged.extend(p for p in tmp_path.rglob("snapshot_0000.csv") if p.parent.name != "old")
         out = real_step(*args, **kwargs)
         out.psi[0] = np.nan
         return out
 
     real_step = nls.strang_step
     monkeypatch.setattr(nls, "strang_step", non_finite_step)
-    assert cli_main(["run", "dam_break_dry", "--eps", "0.08", "--tfinal", "0.05",
-                     "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and "step 1 " in err
-    assert not (tmp_path / "out").exists()
+    for argv, out in (
+            (["dam_break_dry", "--eps", "0.08", "--tfinal", "0.05"], tmp_path / "out"),
+            # the t = 0 snapshot is written before the first step fails
+            ([str(scenario_file)], tmp_path / "new" / "out"),
+            ([str(scenario_file)], old)):
+        staged.clear()
+        assert cli_main(["run", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and "step 1 " in err
+        assert len(staged) == (0 if "--tfinal" in argv else 1)
+    # no directory the runs made, no staging file, and the old files as they were
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "tiny.json"]
+    assert sorted(p.name for p in old.iterdir()) == ["diagnostics.csv", "snapshot_0000.csv"]
+    assert (old / "snapshot_0000.csv").read_bytes() == b"x\n1\n"
+    assert (old / "diagnostics.csv").read_bytes() == b"t\n0\n"
+    # and a run that succeeds leaves only its own files
+    monkeypatch.setattr(nls, "strang_step", real_step)
+    assert cli_main(["run", str(scenario_file), "--out", str(old)]) == 0
+    assert sorted(p.name for p in old.iterdir()) == [
+        "diagnostics.csv", "scenario_used.json", "snapshot_0000.csv", "snapshot_0001.csv"]
+    assert (old / "snapshot_0000.csv").read_bytes() != b"x\n1\n"
 
 
 def test_main_exits_with_cli_code(monkeypatch, capsys):
@@ -816,7 +841,7 @@ def test_oscillating_lake_follows_its_reference_at_the_scenario_g(g):
     sc = replace(sc, g=g, eps=0.02, output=replace(sc.output, times=(1.0,)))
     sc = replace(sc, discretization=replace(sc.discretization,
                                             dt=0.9 * sc.dx / math.sqrt(1.1 * g)))
-    _, hydro = nls.run(sc).snapshots[-1]
+    _, hydro = nls.run(sc).final
     err = diagnostics.error_norm(hydro, lambda x, t: reference_samples(sc, x, t).h,
                                  (-2.0, 2.0))
     assert err.value <= 2e-2
@@ -1058,7 +1083,7 @@ def test_plane_wave_builtin_end_to_end(tmp_path):
     sc = replace(sc, output=replace(sc.output, times=(0.25,),
                                     directory=str(tmp_path / "pw")))
     result = run_and_write(sc, sc.output.directory)
-    _, hydro = result.snapshots[-1]
+    _, hydro = result.final
     assert np.max(np.abs(hydro.h - 1.0)) <= 1e-10
     # discrete derivative of the carrier has a sinc bias ~ (kappa*dx/eps)^2/6
     theta = sc.dx / sc.eps

@@ -1,4 +1,5 @@
 """Strang splitting, Crank-Nicolson dispersive step and sponge layers."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -174,17 +176,37 @@ def test_dispersive_step_norm_conservation(topology, degree, elements, eps, tau,
     assert abs(norm_h(m, w.psi) - n0) <= 1e-12 * n0
 
 
-@pytest.mark.parametrize("topology, degree, ordering", [
-    (PERIODIC, 1, "MMD_AT_PLUS_A"), (PERIODIC, 2, "MMD_AT_PLUS_A"),
-    (PERIODIC, 3, "MMD_AT_PLUS_A"),
+def _sponge_mesh():
+    sc = replace(app.builtin_scenario("vacuum_generation"), eps=0.08)
+    m = sc.build_mesh()
+    assert m.topology == NEUMANN and m.b > sc.domain.half_width  # the layers are in it
+    return m
+
+
+@pytest.mark.parametrize("mesh, solver", [
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 1, PERIODIC), "MMD_AT_PLUS_A",
+                 id="periodic-1-MMD_AT_PLUS_A"),
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 2, PERIODIC), "MMD_AT_PLUS_A",
+                 id="periodic-2-MMD_AT_PLUS_A"),
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 3, PERIODIC), "MMD_AT_PLUS_A",
+                 id="periodic-3-MMD_AT_PLUS_A"),
     # degree >= 2 Neumann output is rounding-sensitive at dt = dx, so the
     # digits of SuperLU's default ordering are pinned
-    (NEUMANN, 1, "COLAMD"), (NEUMANN, 2, "COLAMD"),
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 2, NEUMANN), "COLAMD",
+                 id="neumann-2-COLAMD"),
+    # degree-1 Neumann meshes, sponge meshes included, are tridiagonal
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 1, NEUMANN), "zgttrf",
+                 id="neumann-1-zgttrf"),
+    pytest.param(_sponge_mesh, "zgttrf", id="sponge-1-zgttrf"),
+    # but scipy's zgttrf refuses 2 unknowns
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 1, 1, NEUMANN), "COLAMD",
+                 id="neumann-1-2nodes-COLAMD"),
 ])
-def test_dispersive_solve_column_ordering(topology, degree, ordering):
+def test_dispersive_solve_column_ordering(mesh, solver):
     # the dense solution to rounding, and bitwise the digits of SuperLU with
-    # the topology's column ordering; the system is built apart from nls
-    m = build_mesh(-1.0, 1.0, 24, degree, topology)
+    # the topology's column ordering, or of LAPACK's tridiagonal solve for
+    # twice the midpoint value, minus psi; the systems are built apart from nls
+    m = mesh()
     eps, tau = 0.05, 0.01
     M = sparse.diags(m.mass)
     a, c = eps / tau, 0.25 * eps * eps
@@ -196,7 +218,18 @@ def test_dispersive_solve_column_ordering(topology, degree, ordering):
     got = dispersive_step(make_field(m, psi, eps), m, stepper, tau).psi
     dense = np.linalg.solve(A.toarray(), rhs)
     assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
-    assert np.array_equal(got, spla.splu(A, permc_spec=ordering).solve(rhs))
+    if solver == "zgttrf":
+        # A / (i*a) = M + i*beta*K, and A^-1 (2i*a*M psi) = (A / (i*a))^-1 (2*M psi)
+        mid = (M + (1j * 0.25 * eps * tau) * m.stiffness).tocsc()
+        dl, d, du, du2, ipiv, info = lapack.zgttrf(mid.diagonal(-1), mid.diagonal(),
+                                                   mid.diagonal(1))
+        assert info == 0
+        twice_mid, info = lapack.zgttrs(dl, d, du, du2, ipiv, 2.0 * m.mass * psi)
+        assert info == 0
+        expected = twice_mid - psi
+    else:
+        expected = spla.splu(A, permc_spec=solver).solve(rhs)
+    assert np.array_equal(got, expected)
 
 
 def test_stepper_validation():
@@ -361,15 +394,16 @@ class _ToyScenario:
     class output:
         times = (0.0,)
 
-    def __init__(self, times=(0.0,), nan_init=False, dt=0.01):
+    def __init__(self, times=(0.0,), nan_init=False, dt=0.01, topology=PERIODIC):
         self.output = type("O", (), {"times": times})()
         self._nan = nan_init
         self.dt = dt
         self.eps = 0.1
         self.g = 1.0
+        self._topology = topology
 
     def build_mesh(self):
-        return build_mesh(-1.0, 1.0, 40, 1, PERIODIC)
+        return build_mesh(-1.0, 1.0, 40, 1, self._topology)
 
     def bathymetry_values(self, x):
         return np.zeros_like(x)
@@ -383,24 +417,50 @@ class _ToyScenario:
 
 
 def test_run_zero_duration_returns_initial_snapshot():
-    result = run(_ToyScenario(times=(0.0,)))
-    assert len(result.snapshots) == 1
+    snapshots = []
+    result = run(_ToyScenario(times=(0.0,)), lambda *snap: snapshots.append(snap))
+    assert len(snapshots) == 1 and snapshots[0] == result.final
     assert result.steps_taken == 0
-    wave, hydro = result.snapshots[0]
+    wave, hydro = result.final
     assert wave.time == 0.0
     assert np.allclose(hydro.h, 1.0, rtol=1e-15)
 
 
 def test_run_lands_exactly_on_output_times():
     # 0.037 is not a multiple of dt=0.01: the last step is shortened
-    result = run(_ToyScenario(times=(0.037, 0.05), dt=0.01))
-    t0, t1 = (snap[0].time for snap in result.snapshots)
+    snapshots = []
+    result = run(_ToyScenario(times=(0.037, 0.05), dt=0.01),
+                 lambda *snap: snapshots.append(snap))
+    t0, t1 = (snap[0].time for snap in snapshots)
     assert t0 == 0.037 and t1 == 0.05
     assert result.steps_taken == 4 + 2  # 3 full + 1 partial, then 1 full + 1 partial
     # constant field: solution stays the analytic constant-phase rotation
-    wave, _ = result.snapshots[-1]
+    wave, _ = result.final
+    assert snapshots[-1] == result.final
     expected = np.exp(-1j * 0.05 / 0.1)
     assert np.allclose(wave.psi, expected, rtol=1e-12)
+
+
+def _run_peak_bytes(sc) -> int:
+    """Peak traced allocation of one nls.run of the scenario."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        run(sc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_output_times():
+    # a snapshot is psi (complex) plus h, q and u (real): 40 bytes a node
+    from swnls.app import builtin_scenario
+    sc = replace(builtin_scenario("dam_break_dry"), eps=0.08)
+    n = sc.layout().nodes
+    run(replace(sc, output=replace(sc.output, times=(0.2,))))  # warm-up, untraced
+    peaks = [_run_peak_bytes(replace(sc, output=replace(sc.output, times=times)))
+             for times in ((0.2, 0.4), tuple(0.002 * np.arange(1, 201)))]
+    assert abs(peaks[1] - peaks[0]) <= 3 * 40 * n, (peaks, n)
 
 
 def test_run_aborts_on_non_finite_field():
@@ -430,11 +490,18 @@ def _count_factorizations(monkeypatch) -> list:
     factorizations = []
     real_splu = spla.splu
 
+    real_zgttrf = lapack.zgttrf
+
     def counting_splu(*args, **kwargs):
         factorizations.append(1)
         return real_splu(*args, **kwargs)
 
+    def counting_zgttrf(*args, **kwargs):
+        factorizations.append(1)
+        return real_zgttrf(*args, **kwargs)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(lapack, "zgttrf", counting_zgttrf)
     return factorizations
 
 
@@ -449,15 +516,15 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
         return real_step(wave, b, sponge, stepper, tau)
 
     monkeypatch.setattr(nls, "strang_step", recording_step)
-    for times, dt, steps, shortened in (
+    for (times, dt, steps, shortened), topology in itertools.product((
             # no output time is a multiple of dt = 0.01: each is reached by a shortened step
             ((0.037, 0.05, 0.063, 0.081), 0.01, 10, 4),
             # 600 steps of dt sum to 0.3 less an ulp or so: a remainder of
             # roundoff, taken as a full step, not factorized as a shortened one
-            ((0.3,), 0.0005, 600, 0)):
+            ((0.3,), 0.0005, 600, 0)), (PERIODIC, NEUMANN)):  # SuperLU, LAPACK
         taus.clear()
         factorizations.clear()
-        run(_ToyScenario(times=times, dt=dt))
+        run(_ToyScenario(times=times, dt=dt, topology=topology))
         assert len(taus) == steps
         assert sum(tau != step_dt for tau, step_dt in taus) == shortened
         assert len(factorizations) == 1 + shortened
