@@ -14,12 +14,24 @@ only.  ``run`` hands each output time's snapshot to the caller as it reaches
 it and keeps only the last, so a run's memory does not grow with the number
 of output times.
 
-The factorization depends on the mesh.  A degree-1 Neumann matrix is
-tridiagonal: LAPACK's ``zgttrf`` factorizes its three diagonals and the step
-is taken in midpoint form (see ``_crank_nicolson``).  Every other matrix, and
-the 2-node mesh, which scipy's ``zgttrf`` wrapper refuses, is factorized by
-SuperLU, with a column ordering that depends on the mesh topology; the
-comment at the line that chooses it says why.
+Repeating the Strang step n times gives P/2 D (P D)^(n-1) P/2, where P is the
+potential flow and D the dispersive one: the potential flow is a rotation
+that keeps |psi|, so the two half-steps that meet between two steps are one
+rotation over their summed duration (McLachlan & Quispel, Acta Numerica 11,
+2002).  ``run`` takes that form on every degree-1 mesh without a sponge,
+which halves the potential steps at a rounding-level change of the output;
+its docstring says how.  A sponge's damping changes the modulus between the
+two half-steps, and degree >= 2 output is rounding-sensitive at the default
+step (see ``_crank_nicolson``), so those runs keep one ``strang_step`` per
+step and their bits.
+
+The factorization depends on the mesh.  Every degree-1 mesh steps in
+midpoint form (see ``_crank_nicolson``): LAPACK's ``zgttrf`` factorizes the
+three diagonals of a Neumann matrix, and SuperLU a periodic one and the
+2-node mesh, which scipy's ``zgttrf`` wrapper refuses.  Degree >= 2 matrices
+are factorized by SuperLU in the plain Crank-Nicolson form.  SuperLU's
+column ordering depends on the mesh topology; the comment at the line that
+chooses it says why.
 """
 from __future__ import annotations
 
@@ -45,25 +57,47 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     B = i*(eps/tau)*M + (eps^2/4)*K, the matrix A factorized here, once.
     """
     K = mesh.stiffness
-    if mesh.degree == 1 and mesh.topology != PERIODIC and mesh.num_nodes > 2:
-        # A is tridiagonal and M diagonal.  Since B = 2i*(eps/tau)*M - A, the
-        # step is psi' = A^-1 (2i*(eps/tau)*M psi) - psi: a solve for twice the
+    # SuperLU orders a periodic matrix, banded plus two corner blocks, by
+    # minimum degree on A^T + A, the usual choice for a structurally symmetric
+    # matrix: its solve is several times faster than with SuperLU's default
+    # COLAMD, at the same fill.  COLAMD now matters only on degree >= 2 Neumann
+    # meshes: MMD_AT_PLUS_A would solve them faster at the same fill, but
+    # their output is rounding-sensitive at dt = dx and the benchmark's
+    # riemann_steps degree-2 gate (1e-6 relative) pins its digits, which
+    # another ordering changes.
+    # The cause is the step size, not the degree: the stepping amplifies
+    # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
+    # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
+    # Once dt obeys a per-degree stability bound, this choice goes.
+    ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
+    if mesh.degree == 1:
+        # M is diagonal.  Since B = 2i*(eps/tau)*M - A, the step is
+        # psi' = A^-1 (2i*(eps/tau)*M psi) - psi: a solve for twice the
         # midpoint value, then the extrapolation (the implicit midpoint rule),
         # with no product by B.  The solve divides A by i*eps/tau, so the
         # matrix is M + i*beta*K and the right-hand side 2*M psi: the same
         # map, with less rounding bias.  On the oscillating lake to t = 4 the
         # mass drifts by 7.7e-14 this way, by 2.8e-12 with A itself and by
-        # 8.2e-14 with SuperLU.
+        # 8.2e-14 with SuperLU.  A Neumann matrix is tridiagonal and goes to
+        # LAPACK; a periodic one, and the 2-node mesh that scipy's zgttrf
+        # refuses, to SuperLU.
         beta = 0.25 * eps * tau
-        dl, d, du, du2, ipiv, info = lapack.zgttrf(
-            (1j * beta) * K.diagonal(-1), mesh.mass + (1j * beta) * K.diagonal(),
-            (1j * beta) * K.diagonal(1))
-        if info != 0:
-            raise RuntimeError(f"Crank-Nicolson matrix for tau = {tau:.6g} is singular")
+        if mesh.topology != PERIODIC and mesh.num_nodes > 2:
+            dl, d, du, du2, ipiv, info = lapack.zgttrf(
+                (1j * beta) * K.diagonal(-1), mesh.mass + (1j * beta) * K.diagonal(),
+                (1j * beta) * K.diagonal(1))
+            if info != 0:
+                raise RuntimeError(f"Crank-Nicolson matrix for tau = {tau:.6g} is singular")
+
+            def solve(rhs: np.ndarray) -> np.ndarray:
+                return lapack.zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)[0]
+        else:
+            solve = spla.splu((sparse.diags(mesh.mass) + (1j * beta) * K).tocsc(),
+                              permc_spec=ordering).solve
         twice_mass = 2.0 * mesh.mass
 
         def midpoint_step(psi: np.ndarray) -> np.ndarray:
-            out, _ = lapack.zgttrs(dl, d, du, du2, ipiv, twice_mass * psi, overwrite_b=True)
+            out = solve(twice_mass * psi)
             return np.subtract(out, psi, out=out)
 
         return midpoint_step
@@ -71,19 +105,6 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     c = 0.25 * eps * eps
     M = sparse.diags(mesh.mass)
     b_mat = ((1j * a) * M + c * K).tocsr()
-    # A periodic matrix, banded plus two corner blocks, is ordered by minimum
-    # degree on A^T + A, the usual choice for a structurally symmetric matrix:
-    # its solve is several times faster than with SuperLU's default COLAMD, at
-    # the same fill.  COLAMD now serves only degree >= 2 Neumann meshes (and
-    # the 2-node mesh): MMD_AT_PLUS_A would solve them faster at the same
-    # fill, but their output is rounding-sensitive at dt = dx and the
-    # benchmark's riemann_steps degree-2 gate (1e-6 relative) pins its digits,
-    # which another ordering changes.
-    # The cause is the step size, not the degree: the stepping amplifies
-    # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
-    # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
-    # Once dt obeys a per-degree stability bound, this choice goes.
-    ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
     solve = spla.splu(((1j * a) * M - c * K).tocsc(), permc_spec=ordering).solve
     return lambda psi: solve(b_mat @ psi)
 
@@ -155,6 +176,12 @@ def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray],
     return out
 
 
+def _check_finite(wave: WaveField, steps: int) -> None:
+    if not np.isfinite(wave.psi.view(np.float64)).all():
+        raise RuntimeError(f"non-finite wave function after step {steps} "
+                           f"(t = {wave.time:.6g})")
+
+
 @dataclass(eq=False)
 class RunResult:
     """The last snapshot plus per-snapshot diagnostics of a completed run."""
@@ -179,6 +206,14 @@ def run(scenario,
 
     Each snapshot (wave, hydro) goes to ``on_snapshot`` as soon as the run
     reaches its time, in order; only the last is kept, on the result.
+
+    A degree-1 run without a sponge chains its steps: after the first, each
+    step is one potential half-step over the previous step's trailing half
+    plus its own leading half, then ``dispersive_step``; the trailing half
+    still owed is paid before each snapshot.  The first step of every run is
+    one ``strang_step``, called through this module, so a caller that wraps
+    ``nls.strang_step`` sees where the run's set-up ends.  Sponge runs and
+    degree >= 2 runs take a ``strang_step`` at every step.
     """
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)
@@ -186,17 +221,27 @@ def run(scenario,
     stepper = Stepper(mesh, scenario.g, scenario.eps, scenario.dt)
     wave = scenario.initial_field(mesh)
 
+    chain = mesh.degree == 1 and sponge is None
+    owed = 0.0  # potential time the chain still owes the field
     energies = []
     steps = 0
     for t_out in scenario.output.times:
         snap = _TIME_SNAP * max(1.0, t_out)
         while (remaining := t_out - wave.time) > snap:
             tau = stepper.dt if remaining > stepper.dt - snap else remaining
-            wave = strang_step(wave, b, sponge, stepper, tau)
+            if chain and steps:
+                out = potential_half_step(wave, b, None, stepper, owed + 0.5 * tau)
+                out = dispersive_step(out, mesh, stepper, tau)
+                out.time = wave.time + tau
+                wave, owed = out, 0.5 * tau
+            else:
+                wave = strang_step(wave, b, sponge, stepper, tau)
             steps += 1
-            if not np.isfinite(wave.psi.view(np.float64)).all():
-                raise RuntimeError(f"non-finite wave function after step {steps} "
-                                   f"(t = {wave.time:.6g})")
+            _check_finite(wave, steps)
+        if owed:
+            wave = potential_half_step(wave, b, None, stepper, owed)
+            owed = 0.0
+            _check_finite(wave, steps)
         wave.time = t_out  # snap away accumulated roundoff
         hydro = recover(wave)
         energies.append(diagnostics.energy(wave, b, stepper.g))

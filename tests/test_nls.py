@@ -203,9 +203,10 @@ def _sponge_mesh():
                  id="neumann-1-2nodes-COLAMD"),
 ])
 def test_dispersive_solve_column_ordering(mesh, solver):
-    # the dense solution to rounding, and bitwise the digits of SuperLU with
-    # the topology's column ordering, or of LAPACK's tridiagonal solve for
-    # twice the midpoint value, minus psi; the systems are built apart from nls
+    # the dense solution to rounding, and bitwise, at degree 1, twice the
+    # midpoint value minus psi, from LAPACK's tridiagonal solve or SuperLU
+    # with the topology's column ordering, or at degree >= 2 the digits of
+    # SuperLU's plain Crank-Nicolson solve; the systems are built apart from nls
     m = mesh()
     eps, tau = 0.05, 0.01
     M = sparse.diags(m.mass)
@@ -218,15 +219,17 @@ def test_dispersive_solve_column_ordering(mesh, solver):
     got = dispersive_step(make_field(m, psi, eps), m, stepper, tau).psi
     dense = np.linalg.solve(A.toarray(), rhs)
     assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+    # A / (i*a) = M + i*beta*K, and A^-1 (2i*a*M psi) = (A / (i*a))^-1 (2*M psi)
+    mid = (M + (1j * 0.25 * eps * tau) * m.stiffness).tocsc()
     if solver == "zgttrf":
-        # A / (i*a) = M + i*beta*K, and A^-1 (2i*a*M psi) = (A / (i*a))^-1 (2*M psi)
-        mid = (M + (1j * 0.25 * eps * tau) * m.stiffness).tocsc()
         dl, d, du, du2, ipiv, info = lapack.zgttrf(mid.diagonal(-1), mid.diagonal(),
                                                    mid.diagonal(1))
         assert info == 0
         twice_mid, info = lapack.zgttrs(dl, d, du, du2, ipiv, 2.0 * m.mass * psi)
         assert info == 0
         expected = twice_mid - psi
+    elif m.degree == 1:
+        expected = spla.splu(mid, permc_spec=solver).solve(2.0 * m.mass * psi) - psi
     else:
         expected = spla.splu(A, permc_spec=solver).solve(rhs)
     assert np.array_equal(got, expected)
@@ -470,8 +473,9 @@ def test_run_aborts_on_non_finite_field():
 
 @pytest.mark.parametrize("part, value", [("imag", np.nan), ("real", np.inf), ("imag", -np.inf)])
 def test_run_aborts_when_one_part_of_one_node_is_non_finite(monkeypatch, part, value):
+    # every step of a run makes one dispersive_step call, chained or not
     from swnls import nls
-    real_step = nls.strang_step
+    real_step = nls.dispersive_step
     calls = []
 
     def step(*args):
@@ -481,7 +485,7 @@ def test_run_aborts_when_one_part_of_one_node_is_non_finite(monkeypatch, part, v
             getattr(out.psi, part)[17] = value
         return out
 
-    monkeypatch.setattr(nls, "strang_step", step)
+    monkeypatch.setattr(nls, "dispersive_step", step)
     with pytest.raises(RuntimeError, match=r"non-finite wave function after step 3 \(t = 0\.03\)"):
         run(_ToyScenario(times=(0.1,)))
 
@@ -509,13 +513,13 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
     from swnls import nls
     factorizations = _count_factorizations(monkeypatch)
     taus = []
-    real_step = nls.strang_step
+    real_step = nls.dispersive_step
 
-    def recording_step(wave, b, sponge, stepper, tau):
+    def recording_step(wave, mesh, stepper, tau):
         taus.append((tau, stepper.dt))
-        return real_step(wave, b, sponge, stepper, tau)
+        return real_step(wave, mesh, stepper, tau)
 
-    monkeypatch.setattr(nls, "strang_step", recording_step)
+    monkeypatch.setattr(nls, "dispersive_step", recording_step)
     for (times, dt, steps, shortened), topology in itertools.product((
             # no output time is a multiple of dt = 0.01: each is reached by a shortened step
             ((0.037, 0.05, 0.063, 0.081), 0.01, 10, 4),
@@ -528,6 +532,67 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
         assert len(taus) == steps
         assert sum(tau != step_dt for tau, step_dt in taus) == shortened
         assert len(factorizations) == 1 + shortened
+
+
+def _strang_loop(sc) -> tuple:
+    """The run of a scenario as one strang_step per step: psi at each output
+    time, and the step count."""
+    from swnls import nls
+    mesh = sc.build_mesh()
+    b = sc.bathymetry_values(mesh.coords)
+    sponge = sc.sponge_profile(mesh)
+    stepper = Stepper(mesh, sc.g, sc.eps, sc.dt)
+    wave = sc.initial_field(mesh)
+    snapshots, steps = [], 0
+    for t_out in sc.output.times:
+        snap = nls._TIME_SNAP * max(1.0, t_out)
+        while (remaining := t_out - wave.time) > snap:
+            tau = stepper.dt if remaining > stepper.dt - snap else remaining
+            wave = strang_step(wave, b, sponge, stepper, tau)
+            steps += 1
+        wave.time = t_out
+        snapshots.append(wave.psi.copy())
+    return snapshots, steps
+
+
+@pytest.mark.parametrize("name, degree, chained", [
+    # degree 1, g = 1, depth <= 1 and dt = dx: Q <= 1, in bound
+    ("dam_break_dry", 1, True),      # Neumann, LAPACK
+    ("lake_at_rest_dry", 1, True),   # periodic, SuperLU
+    ("vacuum_generation", 1, False),  # a sponge: split at every step
+    ("dam_break_dry", 2, False),     # degree 2: split at every step
+])
+def test_run_chains_degree_1_steps_without_a_sponge(monkeypatch, name, degree, chained):
+    from swnls import nls
+    from swnls.app import builtin_scenario
+    sc = replace(builtin_scenario(name), eps=0.08)
+    # dt = 0.004: no output time is a multiple of it, so each is reached by a
+    # shortened step
+    sc = replace(sc, discretization=replace(sc.discretization, degree=degree),
+                 output=replace(sc.output, times=(0.01, 0.05, 0.123)))
+    expected, steps = _strang_loop(sc)
+    potential_calls = []
+    real_potential = nls.potential_half_step
+
+    def counting_potential(*args):
+        potential_calls.append(1)
+        return real_potential(*args)
+
+    monkeypatch.setattr(nls, "potential_half_step", counting_potential)
+    snapshots = []
+    result = run(sc, lambda wave, hydro: snapshots.append((wave.time, wave.psi.copy())))
+    assert result.steps_taken == steps == 32
+    assert [t for t, _ in snapshots] == list(sc.output.times)
+    if chained:
+        # the first step's two half-steps, one per later step, and the
+        # trailing half-step owed before each snapshot
+        assert len(potential_calls) == 2 + (steps - 1) + len(sc.output.times)
+        for (_, got), want in zip(snapshots, expected):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    else:
+        assert len(potential_calls) == 2 * steps
+        for (_, got), want in zip(snapshots, expected):
+            assert np.array_equal(got, want)
 
 
 def test_shortened_step_operator_is_not_kept(monkeypatch):
