@@ -1,10 +1,13 @@
 """Scenario parsing, builtins, snapshot emission and the CLI."""
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -588,9 +591,17 @@ def test_cli_numeric_failure_exits_1(tmp_path, monkeypatch, capsys):
     (old / "snapshot_0000.csv").write_bytes(b"x\n1\n")
     (old / "diagnostics.csv").write_bytes(b"t\n0\n")
     staged = []
+    wait_s = 0.0
 
     def non_finite_step(*args, **kwargs):
-        staged.extend(p for p in tmp_path.rglob("snapshot_0000.csv") if p.parent.name != "old")
+        # a writer process may still be writing the t = 0 snapshot: wait, bounded, for it
+        deadline = time.monotonic() + wait_s
+        while True:
+            found = [p for p in tmp_path.rglob("snapshot_0000.csv") if p.parent.name != "old"]
+            if found or time.monotonic() >= deadline:
+                break
+            time.sleep(0.01)
+        staged.extend(found)
         out = real_step(*args, **kwargs)
         out.psi[0] = np.nan
         return out
@@ -603,10 +614,12 @@ def test_cli_numeric_failure_exits_1(tmp_path, monkeypatch, capsys):
             ([str(scenario_file)], tmp_path / "new" / "out"),
             ([str(scenario_file)], old)):
         staged.clear()
+        wait_s = 0.0 if "--tfinal" in argv else 5.0
         assert cli_main(["run", *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and "step 1 " in err
         assert len(staged) == (0 if "--tfinal" in argv else 1)
+        assert multiprocessing.active_children() == []
     # no directory the runs made, no staging file, and the old files as they were
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old", "tiny.json"]
     assert sorted(p.name for p in old.iterdir()) == ["diagnostics.csv", "snapshot_0000.csv"]
@@ -619,6 +632,140 @@ def test_cli_numeric_failure_exits_1(tmp_path, monkeypatch, capsys):
         "diagnostics.csv", "scenario_used.json", "snapshot_0000.csv", "snapshot_0001.csv"]
     assert (old / "snapshot_0000.csv").read_bytes() != b"x\n1\n"
 
+
+@pytest.mark.parametrize("outputs, cpus, platform, threads, expected", [
+    (1, 8, "linux", 1, 0),   # one output time: nothing to overlap
+    (60, 1, "linux", 1, 0),  # one usable CPU
+    (60, 8, "darwin", 1, 0),
+    (60, 8, "linux", 2, 0),  # a fork would copy the other thread's locks
+    (2, 8, "linux", 1, 1),
+    (60, 2, "linux", 1, 2),
+    (60, 8, "linux", 1, 2),  # at most _MAX_WRITERS
+])
+def test_writer_count_rule(monkeypatch, outputs, cpus, platform, threads, expected):
+    import threading
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    assert app._writer_count(outputs) == expected
+
+
+def _pool_documents(tmp_path):
+    """A dam break with 9 output times and a sponge run with 4, as scenario files."""
+    from dataclasses import replace
+    files = []
+    for name, times in (("dam_break_wet", tuple(0.0125 * k for k in range(9))),
+                        ("vacuum_generation", (0.0, 0.01, 0.02, 0.05))):
+        sc = builtin_scenario(name)
+        sc = replace(sc, eps=0.08, output=replace(sc.output, times=times))
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_scenario(sc))
+        files.append(path)
+    return files
+
+
+def test_writer_processes_write_the_same_bytes(tmp_path, monkeypatch):
+    pooled = []  # the shape of each table a writer process was sent
+    real_write = app.SnapshotWriters.write
+
+    def write(self, path, table):
+        if self._count:
+            pooled.append(table.shape)
+        real_write(self, path, table)
+
+    monkeypatch.setattr(app.SnapshotWriters, "write", write)
+    for doc in _pool_documents(tmp_path):
+        trees = {}
+        for count in (0, 2):
+            monkeypatch.setattr(app, "_writer_count", lambda outputs: count)
+            out = tmp_path / f"{doc.stem}-{count}"
+            assert cli_main(["run", str(doc), "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            trees[count] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(trees[0]) == len(json.loads(doc.read_text())["output"]["times"]) + 2
+        assert trees[2] == trees[0]
+    # the pool wrote every snapshot of both documents, and left the sponge rows out
+    assert len(pooled) == 9 + 4
+    assert pooled[-1][0] < builtin_scenario("vacuum_generation").layout().nodes
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="writer processes start on Linux only")
+def test_writers_fork_a_single_threaded_process(tmp_path, monkeypatch):
+    # a fork copies other threads' locks as they are, and Python 3.12 warns at a
+    # fork of a process running other threads, native ones included: numpy's
+    # OpenBLAS must have stopped its threads when the writers fork
+    threads = []
+    real_start = app.SnapshotWriters._start
+
+    def start(self, shape):
+        real_start(self, shape)
+        threads.append(len(os.listdir("/proc/self/task")))
+
+    monkeypatch.setattr(app.SnapshotWriters, "_start", start)
+    monkeypatch.setattr(app, "_writer_count", lambda outputs: 2)
+    doc = _pool_documents(tmp_path)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert cli_main(["run", str(doc), "--out", str(tmp_path / "out")]) == 0
+    assert threads == [1]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_in_writer(how):
+    """A `_write_csv` that fails at the third snapshot, in a writer process only."""
+    real_write, main_pid = app._write_csv, os.getpid()
+
+    def write_csv(path, header, table):
+        if path.endswith("snapshot_0002.csv") and os.getpid() != main_pid:
+            if how == "oserror":
+                raise OSError(28, "No space left on device", path)
+            os._exit(9)
+        real_write(path, header, table)
+
+    return write_csv
+
+
+@pytest.mark.parametrize("how, message", [("oserror", "No space left on device"),
+                                          ("exit", "exited with code 9")])
+def test_writer_failure_exits_2_and_leaves_nothing(tmp_path, monkeypatch, capsys, how,
+                                                   message):
+    doc = _pool_documents(tmp_path)[0]
+    monkeypatch.setattr(app, "_writer_count", lambda outputs: 2)
+    monkeypatch.setattr(app, "_write_csv", _fail_in_writer(how))
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "snapshot_0002.csv").write_bytes(b"x\n1\n")
+    for out in (old, tmp_path / "new" / "out"):
+        assert cli_main(["run", str(doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert os.path.join(out.name, ".swnls-staging-") in err and "snapshot_0002.csv" in err
+        assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["old", "dam_break_wet.json", "vacuum_generation.json"])
+    assert [p.name for p in old.iterdir()] == ["snapshot_0002.csv"]
+    assert (old / "snapshot_0002.csv").read_bytes() == b"x\n1\n"
+
+
+def test_interrupted_run_stops_its_writers(tmp_path, monkeypatch):
+    from swnls import nls
+    doc = _pool_documents(tmp_path)[0]
+    sc = parse_scenario(doc.read_text())
+    monkeypatch.setattr(app, "_writer_count", lambda outputs: 2)
+    real_step, calls = nls.dispersive_step, []
+
+    def interrupted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 10:  # t = 0.04, past four snapshots
+            assert len(multiprocessing.active_children()) == 2
+            raise KeyboardInterrupt
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(nls, "dispersive_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_and_write(sc, str(tmp_path / "out"))
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out").exists()
 
 def test_main_exits_with_cli_code(monkeypatch, capsys):
     for argv, code in ((["list"], 0), (["run", "no_such_builtin"], 2)):
@@ -742,14 +889,14 @@ def test_emit_snapshot_matches_row_loop_bytes(tmp_path, monkeypatch, block_rows)
     from swnls.mesh import NEUMANN, build_mesh
     monkeypatch.setattr(app, "_EMIT_BLOCK_ROWS", block_rows)
     m = build_mesh(-3.0, 3.0, 1000, 3, NEUMANN)  # degree 3: two nodes inside each element
-    interior = np.abs(m.coords) <= 2.0            # sponge-style mask
+    interior = np.flatnonzero(np.abs(m.coords) <= 2.0)  # sponge-style rows
     rng = np.random.default_rng(7)
     n = m.num_nodes
     h, q, b, h_ref, q_ref = (rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
                              for _ in range(5))
     special = [np.nan, -0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, 0.0, 0.1, 1 / 3,
                *BOUNDARY_VALUES]
-    nodes = np.flatnonzero(interior)[:len(special)]
+    nodes = interior[:len(special)]
     for arr in (h, q, b, h_ref, q_ref):
         arr[nodes] = special
         special = special[1:] + special[:1]
@@ -760,9 +907,10 @@ def test_emit_snapshot_matches_row_loop_bytes(tmp_path, monkeypatch, block_rows)
     hydro = SimpleNamespace(h=h, q=q)
     refs = app.ReferenceSamples(h=h_ref, q=q_ref, eta=eta_ref)
     path = tmp_path / "snap.csv"
-    app.emit_snapshot((wave, hydro), refs, str(path), bathymetry=b, interior=interior)
+    app.emit_snapshot((wave, hydro), refs, str(path), bathymetry=b, interior=interior,
+                      writers=app.SnapshotWriters(0))
 
-    idx = np.flatnonzero(interior)[np.argsort(m.coords[interior], kind="stable")]
+    idx = interior[np.argsort(m.coords[interior], kind="stable")]
     assert idx.size > _DEFAULT_BLOCK_ROWS
     columns = (m.coords, h, h_ref, q, q_ref, psi.real, psi.imag, b, h + b, eta_ref)
     expected = app.SNAPSHOT_HEADER + "\n" + _row_loop_text(columns, idx)
