@@ -607,7 +607,7 @@ def default_error_window(scenario: Scenario, t: float) -> tuple[float, float]:
 def _writer_count(outputs: int) -> int:
     """How many writer processes a run with ``outputs`` output times starts.
 
-    None (the run writes its snapshots itself) for one output time, when this
+    0 (the run writes its snapshots itself) for one output time, when this
     process may use one CPU only, when it runs other Python threads (a fork
     copies their locks in whatever state they are) or off Linux; else one per
     usable CPU, at most ``outputs - 1`` and at most ``_MAX_WRITERS``.  Native
@@ -625,6 +625,7 @@ def _writer_loop(conn, tables: np.ndarray) -> None:
     """A writer process: write the table in each slot it is sent, and send
     back the slot, or the exception that stopped it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the run, which kills us
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the run's handler, forked with us
     parent = os.getppid()
     while True:
         if not conn.poll(1.0):
@@ -951,7 +952,15 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
+def _terminated(signum, frame) -> None:
+    """Stop on SIGTERM as a failed run stops: the exception unwinds through
+    ``run_and_write``, which stops the writers and removes what the run made."""
+    print(f"stopped by {signal.Signals(signum).name}", file=sys.stderr)
+    raise SystemExit(128 + signum)
+
+
 def main() -> None:
+    signal.signal(signal.SIGTERM, _terminated)
     sys.exit(cli_main())
 
 

@@ -18,12 +18,12 @@ Repeating the Strang step n times gives P/2 D (P D)^(n-1) P/2, where P is the
 potential flow and D the dispersive one: the potential flow is a rotation
 that keeps |psi|, so the two half-steps that meet between two steps are one
 rotation over their summed duration (McLachlan & Quispel, Acta Numerica 11,
-2002).  ``run`` takes that form on every degree-1 mesh without a sponge,
-which halves the potential steps at a rounding-level change of the output;
-its docstring says how.  A sponge's damping changes the modulus between the
-two half-steps, and degree >= 2 output is rounding-sensitive at the default
-step (see ``_crank_nicolson``), so those runs keep one ``strang_step`` per
-step and their bits.
+2002).  A sponge's damping shrinks the modulus between them, and the merged
+half-step accounts for that exactly (see ``potential_half_step``).  ``run``
+takes that form on every degree-1 mesh, which halves the potential steps at a
+rounding-level change of the output; its docstring says how.  Degree >= 2
+output is rounding-sensitive at the default step (see ``_crank_nicolson``),
+so those runs take full Strang steps and keep their bits.
 
 The factorization depends on the mesh.  Every degree-1 mesh steps in
 midpoint form (see ``_crank_nicolson``): LAPACK's ``zgttrf`` factorizes the
@@ -130,12 +130,18 @@ class Stepper:
 
 def potential_half_step(wave: WaveField, b: np.ndarray,
                         sponge: Optional[np.ndarray], stepper: Stepper,
-                        tau: float) -> WaveField:
-    """Exact nodal update of the potential subflow over tau.
+                        tau: float, owed: float = 0.0) -> WaveField:
+    """Exact nodal update of the potential subflow over tau, after the ``owed``
+    potential time an earlier step deferred.
 
-    Phase rotation by g*(|psi|^2 + b)*tau/eps using the pre-update modulus
-    (constant along the subflow), times the closed-form damping factor
-    exp(-sigma*tau/eps) where a sponge (the nodal sigma) is supplied.
+    Phase rotation by g*(|psi|^2 + b)*(owed + tau)/eps using the pre-update
+    modulus (constant along the subflow), times the closed-form damping factor
+    exp(-sigma*(owed + tau)/eps) where a sponge (the nodal sigma) is supplied.
+    The two half-steps over owed and tau compose exactly into this one map:
+    with a sponge, the owed half-step's damping exp(-2*sigma*owed/eps) shrinks
+    |psi|^2 over the second interval, so the rotation uses |psi|^2 averaged
+    over the two.  Without a sponge, or with nothing owed, the arithmetic is
+    that of one half-step over tau (0.0 + tau is exact).
 
     The rotation is cos(theta) + i*sin(theta) of one real angle array.  It
     has the bits of the costlier complex exp(-1j*(g/eps)*(|psi|^2 + b)*tau):
@@ -146,12 +152,16 @@ def potential_half_step(wave: WaveField, b: np.ndarray,
     the damping factor underflows.
     """
     psi = wave.psi
-    theta = (-(stepper.g / stepper.eps) * (np.abs(psi) ** 2 + b)) * tau + 0.0
+    rho = np.abs(psi) ** 2
+    span = owed + tau
+    if sponge is not None and owed:
+        rho *= (owed + np.exp(-2.0 * sponge * owed / stepper.eps) * tau) / span
+    theta = (-(stepper.g / stepper.eps) * (rho + b)) * span + 0.0
     phase = np.empty_like(psi)
     np.cos(theta, out=phase.real)
     np.sin(theta, out=phase.imag)
     if sponge is not None:
-        phase *= np.exp(-sponge * tau / stepper.eps)
+        phase *= np.exp(-sponge * span / stepper.eps)
     return wave.copy_with(phase * psi)
 
 
@@ -166,12 +176,18 @@ def dispersive_step(wave: WaveField, mesh: Mesh1D, stepper: Stepper,
     return wave.copy_with(solve(wave.psi))
 
 
-def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray],
-                stepper: Stepper, tau: float) -> WaveField:
-    """Advance by tau: half potential, full dispersive, half potential."""
-    out = potential_half_step(wave, b, sponge, stepper, 0.5 * tau)
+def strang_step(wave: WaveField, b: np.ndarray, sponge: Optional[np.ndarray], stepper: Stepper,
+                tau: float, *, owed: float = 0.0, defer: bool = False) -> WaveField:
+    """Advance by tau: half potential, full dispersive, half potential.
+
+    The leading half-step also pays the ``owed`` potential time an earlier
+    step deferred; with ``defer`` the closing half-step is left owed, not
+    applied, and the field returned is ``tau/2`` of potential flow short.
+    """
+    out = potential_half_step(wave, b, sponge, stepper, 0.5 * tau, owed=owed)
     out = dispersive_step(out, wave.mesh, stepper, tau)
-    out = potential_half_step(out, b, sponge, stepper, 0.5 * tau)
+    if not defer:
+        out = potential_half_step(out, b, sponge, stepper, 0.5 * tau)
     out.time = wave.time + tau
     return out
 
@@ -207,13 +223,13 @@ def run(scenario,
     Each snapshot (wave, hydro) goes to ``on_snapshot`` as soon as the run
     reaches its time, in order; only the last is kept, on the result.
 
-    A degree-1 run without a sponge chains its steps: after the first, each
-    step is one potential half-step over the previous step's trailing half
-    plus its own leading half, then ``dispersive_step``; the trailing half
-    still owed is paid before each snapshot.  The first step of every run is
-    one ``strang_step``, called through this module, so a caller that wraps
-    ``nls.strang_step`` sees where the run's set-up ends.  Sponge runs and
-    degree >= 2 runs take a ``strang_step`` at every step.
+    Every step is one ``strang_step``, called through this module.  A
+    degree-1 run chains its steps: each defers its closing potential
+    half-step, which the next step's leading half-step pays, so the two
+    merge into one, and the half-step still owed is paid before each
+    snapshot.  Degree >= 2 runs take full Strang steps, because their output
+    at the default step amplifies any change to the order of the arithmetic
+    far past rounding (README, "Validity regime").
     """
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)
@@ -221,7 +237,7 @@ def run(scenario,
     stepper = Stepper(mesh, scenario.g, scenario.eps, scenario.dt)
     wave = scenario.initial_field(mesh)
 
-    chain = mesh.degree == 1 and sponge is None
+    chain = mesh.degree == 1
     owed = 0.0  # potential time the chain still owes the field
     energies = []
     steps = 0
@@ -229,17 +245,12 @@ def run(scenario,
         snap = _TIME_SNAP * max(1.0, t_out)
         while (remaining := t_out - wave.time) > snap:
             tau = stepper.dt if remaining > stepper.dt - snap else remaining
-            if chain and steps:
-                out = potential_half_step(wave, b, None, stepper, owed + 0.5 * tau)
-                out = dispersive_step(out, mesh, stepper, tau)
-                out.time = wave.time + tau
-                wave, owed = out, 0.5 * tau
-            else:
-                wave = strang_step(wave, b, sponge, stepper, tau)
+            wave = strang_step(wave, b, sponge, stepper, tau, owed=owed, defer=chain)
+            owed = 0.5 * tau if chain else 0.0
             steps += 1
             _check_finite(wave, steps)
         if owed:
-            wave = potential_half_step(wave, b, None, stepper, owed)
+            wave = potential_half_step(wave, b, sponge, stepper, owed)
             owed = 0.0
             _check_finite(wave, steps)
         wave.time = t_out  # snap away accumulated roundoff

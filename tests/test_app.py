@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -767,6 +768,102 @@ def test_interrupted_run_stops_its_writers(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "out").exists()
 
+
+def _long_run_document(tmp_path) -> Path:
+    """A dam break with 40 output times, seconds long: it has writer processes
+    and time to be stopped."""
+    from dataclasses import replace
+    sc = builtin_scenario("dam_break_wet")
+    sc = replace(sc, output=replace(sc.output, times=tuple(0.1 * k for k in range(40))))
+    doc = tmp_path / "long.json"
+    doc.write_text(serialize_scenario(sc))
+    return doc
+
+
+def _child_pids(pid: int) -> list:
+    """The ids of the processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # not a process, or it ended meanwhile
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _live(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _start_staged_run(doc: Path, out: Path):
+    """Start `python -m swnls.app run` of ``doc`` into ``out``, and wait until it
+    has staged its second snapshot: the process and its children's ids."""
+    proc = subprocess.Popen([sys.executable, "-m", "swnls.app", "run", str(doc), "--out",
+                             str(out)], env=_module_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, cwd=doc.parent,
+                            start_new_session=True)
+    deadline = time.monotonic() + 60.0
+    while not list(out.glob(".swnls-staging-*/snapshot_0001.csv")):
+        assert proc.poll() is None, proc.communicate()
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+    return proc, _child_pids(proc.pid)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_sigterm_stops_a_run_like_a_failure(tmp_path):
+    # exit 143 (128 + SIGTERM), the writers stopped, and the file system as it
+    # was: a new output directory gone, an existing one's files untouched.  The
+    # last run's whole process group is signalled, writers included, as a
+    # service manager does: the writers die quietly, and one line is printed
+    doc = _long_run_document(tmp_path)
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "snapshot_0000.csv").write_bytes(b"x\n1\n")
+    (old / "diagnostics.csv").write_bytes(b"t\n0\n")
+    writers_expected = 2 if len(os.sched_getaffinity(0)) >= 2 else 0
+    for out, group in ((tmp_path / "new" / "out", False), (old, False),
+                       (tmp_path / "new" / "out", True)):
+        proc, writers = _start_staged_run(doc, out)
+        assert len(writers) == writers_expected
+        if group:
+            os.killpg(proc.pid, signal.SIGTERM)
+        else:
+            proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 143
+        assert (stdout, stderr) == ("", "stopped by SIGTERM\n")
+        assert not any(_live(pid) for pid in writers)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["long.json", "old"]
+    assert sorted(p.name for p in old.iterdir()) == ["diagnostics.csv", "snapshot_0000.csv"]
+    assert (old / "snapshot_0000.csv").read_bytes() == b"x\n1\n"
+    assert (old / "diagnostics.csv").read_bytes() == b"t\n0\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="writer processes start on Linux, with 2 usable CPUs")
+def test_writers_leave_when_their_run_is_killed(tmp_path):
+    # a SIGKILLed run cannot stop its writers: they must end by themselves
+    proc, writers = _start_staged_run(_long_run_document(tmp_path), tmp_path / "out")
+    assert len(writers) == 2 and all(_live(pid) for pid in writers)
+    proc.kill()
+    deadline = time.monotonic() + 2.5
+    while any(_live(pid) for pid in writers) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(_live(pid) for pid in writers)
+    proc.communicate(timeout=60)
+    # nor remove its staging directory
+    assert len(list((tmp_path / "out").glob(".swnls-staging-*"))) == 1
+
+
 def test_main_exits_with_cli_code(monkeypatch, capsys):
     for argv, code in ((["list"], 0), (["run", "no_such_builtin"], 2)):
         monkeypatch.setattr(sys, "argv", ["swnls", *argv])
@@ -1023,11 +1120,16 @@ def test_cli_list(capsys):
     assert out == builtin_names()
 
 
+def _module_env() -> dict:
+    """The environment in which `python -m swnls.app` imports this swnls."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(app.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_module_entry_point(tmp_path):
     # `python -m swnls.app` runs the CLI, exit codes included
-    src = os.path.dirname(os.path.dirname(os.path.abspath(app.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _module_env()
     listed = subprocess.run([sys.executable, "-m", "swnls.app", "list"], env=env,
                             capture_output=True, text=True, cwd=tmp_path)
     assert listed.returncode == 0
@@ -1047,7 +1149,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         out = tmp_path / name
         rc = cli_main(["run", name, "--eps", "0.08", "--tfinal", "0.05", "--out", str(out)])
         assert rc == 0
-        assert (out / "snapshot_0000.csv").exists()
+        # its three files and nothing else: no staging leftovers
+        assert sorted(os.listdir(out)) == [
+            "diagnostics.csv", "scenario_used.json", "snapshot_0000.csv"]
     assert cli_main(["run", "no_such_builtin"]) == 2
     assert cli_main(["sweep", "dam_break_dry", "--eps-list", "abc"]) == 2
 

@@ -118,6 +118,31 @@ def test_potential_step_bitwise_equals_complex_exp(fields, g, eps, dt, shortened
             np.testing.assert_allclose(np.abs(w.psi), np.abs(psi), rtol=1e-15, atol=1e-320)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), g=st.floats(0.1, 4.0),
+       eps=st.floats(0.01, 0.1), owed=st.floats(0.0, 2.0), tau=st.floats(0.0, 2.0),
+       sigma_scale=st.one_of(st.none(), st.floats(0.0, 5.0)))
+def test_owed_half_step_equals_two_half_steps(n, seed, g, eps, owed, tau, sigma_scale):
+    # one half-step over tau that pays owed time first is the two half-steps
+    # in turn, sponge damping included: steps up to 2*dt at dt = 0.05*eps (the
+    # default dt = dx), depths up to 4, beds within +-1 and sigma up to 5
+    # times vacuum_generation's peak damping
+    rng = np.random.default_rng(seed)
+    m = build_mesh(-1.0, 1.0, n - 1, 1, NEUMANN)
+    dt = 0.05 * eps
+    stepper = Stepper(m, g=g, eps=eps, dt=dt)
+    psi = rng.uniform(0.0, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    psi[rng.uniform(size=n) < 0.2] = 0.0
+    b = rng.uniform(-1.0, 1.0, n)
+    sigma = None if sigma_scale is None else sigma_scale * rng.uniform(0.0, 2.48, n)
+    owed, tau = owed * dt, tau * dt
+    w = make_field(m, psi, eps)
+    got = potential_half_step(w, b, sigma, stepper, tau, owed=owed).psi
+    want = potential_half_step(potential_half_step(w, b, sigma, stepper, owed),
+                               b, sigma, stepper, tau).psi
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 @pytest.mark.parametrize("name", ["dam_break_dry", "vacuum_generation"])
 def test_potential_step_bitwise_equals_complex_exp_on_a_run(name):
     # the first 30 steps of a dry dam break (exact zeros, then subnormal
@@ -559,10 +584,10 @@ def _strang_loop(sc) -> tuple:
     # degree 1, g = 1, depth <= 1 and dt = dx: Q <= 1, in bound
     ("dam_break_dry", 1, True),      # Neumann, LAPACK
     ("lake_at_rest_dry", 1, True),   # periodic, SuperLU
-    ("vacuum_generation", 1, False),  # a sponge: split at every step
-    ("dam_break_dry", 2, False),     # degree 2: split at every step
+    ("vacuum_generation", 1, True),  # a sponge: its damping composes too
+    ("dam_break_dry", 2, False),     # degree 2: full Strang steps
 ])
-def test_run_chains_degree_1_steps_without_a_sponge(monkeypatch, name, degree, chained):
+def test_run_chains_degree_1_steps(monkeypatch, name, degree, chained):
     from swnls import nls
     from swnls.app import builtin_scenario
     sc = replace(builtin_scenario(name), eps=0.08)
@@ -571,22 +596,26 @@ def test_run_chains_degree_1_steps_without_a_sponge(monkeypatch, name, degree, c
     sc = replace(sc, discretization=replace(sc.discretization, degree=degree),
                  output=replace(sc.output, times=(0.01, 0.05, 0.123)))
     expected, steps = _strang_loop(sc)
-    potential_calls = []
-    real_potential = nls.potential_half_step
+    potential_calls, step_calls = [], []
+    real_potential, real_step = nls.potential_half_step, nls.strang_step
 
-    def counting_potential(*args):
+    def counting_potential(*args, **kwargs):
         potential_calls.append(1)
-        return real_potential(*args)
+        return real_potential(*args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        step_calls.append(1)
+        return real_step(*args, **kwargs)
 
     monkeypatch.setattr(nls, "potential_half_step", counting_potential)
+    monkeypatch.setattr(nls, "strang_step", counting_step)
     snapshots = []
     result = run(sc, lambda wave, hydro: snapshots.append((wave.time, wave.psi.copy())))
-    assert result.steps_taken == steps == 32
+    assert result.steps_taken == steps == len(step_calls) == 32
     assert [t for t, _ in snapshots] == list(sc.output.times)
     if chained:
-        # the first step's two half-steps, one per later step, and the
-        # trailing half-step owed before each snapshot
-        assert len(potential_calls) == 2 + (steps - 1) + len(sc.output.times)
+        # one potential half-step per step, and the one owed before each snapshot
+        assert len(potential_calls) == steps + len(sc.output.times)
         for (_, got), want in zip(snapshots, expected):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     else:
