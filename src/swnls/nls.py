@@ -26,12 +26,15 @@ output is rounding-sensitive at the default step (see ``_crank_nicolson``),
 so those runs take full Strang steps and keep their bits.
 
 The factorization depends on the mesh.  Every degree-1 mesh steps in
-midpoint form (see ``_crank_nicolson``): LAPACK's ``zgttrf`` factorizes the
-three diagonals of a Neumann matrix, and SuperLU a periodic one and the
-2-node mesh, which scipy's ``zgttrf`` wrapper refuses.  Degree >= 2 matrices
-are factorized by SuperLU in the plain Crank-Nicolson form.  SuperLU's
-column ordering depends on the mesh topology; the comment at the line that
-chooses it says why.
+midpoint form (see ``_crank_nicolson``).  On more than 2 nodes, Neumann or
+periodic, its complex symmetric matrix is factorized as L D L^T by LAPACK's
+``zgttrf`` and solved with no division by two BLAS ``ztbsv`` sweeps, a
+periodic matrix's corners by a Sherman-Morrison correction (see
+``_SymmetricTridiagonalSolve``).  SuperLU factorizes the 2-node mesh, which
+scipy's ``zgttrf`` wrapper refuses, and every degree >= 2 matrix, in the
+plain Crank-Nicolson form.  SuperLU's column ordering depends on the mesh
+topology, ``MMD_AT_PLUS_A`` serving only degree >= 2 periodic meshes; the
+comment at the line that chooses it says why.
 """
 from __future__ import annotations
 
@@ -41,13 +44,90 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import diagnostics
 from .madelung import HydroState, WaveField, recover
 from .mesh import PERIODIC, Mesh1D
 
 _TIME_SNAP = 1e-12
+
+
+class _SymmetricTridiagonalSolve:
+    """Solver of (M + i*beta*K) y = r on a degree-1 mesh of more than 2 nodes,
+    factorized here, once, and solved with no division.
+
+    The matrix is complex symmetric, and it factors as L D L^T with no
+    pivoting: by induction every pivot keeps Im d_i >= beta/h, the CABS1 of
+    the off-diagonal, so LAPACK's zgttrf interchanges no row (Higham, Math.
+    Comp. 67, 1998, shows the same for positive definite real and imaginary
+    parts); a factorization that did is refused all the same.  zgttrf
+    returns the multipliers l_i of L, and because du/d = dl for a symmetric
+    matrix, the unit upper factor D^-1 U = L^T has the same l_i.  One
+    interleaved buffer [., 1, l_0, 1, l_1, ..., 1, .] holds both unit
+    bidiagonals in BLAS band storage: its slices [1:] and [:-1], read as
+    (2, n) in Fortran order, are the lower and the upper band.  A solve is
+    two BLAS ztbsv sweeps around a product by the reciprocal pivots.
+
+    A periodic matrix is this tridiagonal T plus two corners c.  With the
+    shift gamma = -d_0, it is T' + u v^T for u = (gamma, 0, ..., 0, c) and
+    v = (1, 0, ..., 0, c/gamma), T' being T with d_0 - gamma and
+    d_{n-1} - c^2/gamma; Sherman-Morrison then gives y = T'^-1 r - z (v^T
+    T'^-1 r) / (1 + v^T z) with z = T'^-1 u (Numerical Recipes, section 2.7,
+    cyclic tridiagonal systems).  z decays geometrically from both ends of
+    the mesh, and its parts below the smallest normal float are set to 0: at
+    8000 nodes 3566 of its entries have a subnormal part, and the update
+    y -= s*z (BLAS zaxpy) took 154 us with them and 3.9 us without, on a
+    2-vCPU x86-64 host.
+    """
+
+    def __init__(self, mesh: Mesh1D, beta: float):
+        K = mesh.stiffness
+        d = mesh.mass + (1j * beta) * K.diagonal()
+        off = (1j * beta) * K.diagonal(1)
+        n = d.size
+        periodic = mesh.topology == PERIODIC
+        if periodic:
+            corner = (1j * beta) * K[0, n - 1]
+            gamma = -d[0]
+            d[0] -= gamma
+            d[-1] -= corner * corner / gamma
+        dl, d, _, _, ipiv, info = lapack.zgttrf(off, d, off, overwrite_dl=1, overwrite_d=1)
+        if info != 0:
+            raise RuntimeError(f"Crank-Nicolson matrix M + i*beta*K for beta = {beta:.6g} "
+                               "is singular")
+        if np.any(ipiv != np.arange(1, n + 1)):
+            raise RuntimeError(f"Crank-Nicolson matrix M + i*beta*K for beta = {beta:.6g}: zgttrf "
+                               "interchanged rows of a matrix that needs no pivoting")
+        band = np.ones(2 * n + 1, dtype=complex)
+        band[2:-1:2] = dl
+        self._lower = band[1:].reshape((2, n), order="F")
+        self._upper = band[:-1].reshape((2, n), order="F")
+        self._inv_d = np.divide(1.0, d, out=d)
+        self.z = None
+        if periodic:
+            u = np.zeros(n, dtype=complex)
+            u[0], u[-1] = gamma, corner
+            z = self._sweep(u)
+            parts = z.view(np.float64)
+            parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
+            self.z = z
+            self._v = corner / gamma
+            self._inv_denominator = 1.0 / (1.0 + z[0] + self._v * z[-1])
+
+    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
+        """The factorized tridiagonal matrix's inverse times rhs, in rhs's memory."""
+        y = blas.ztbsv(1, self._lower, rhs, lower=1, diag=1, overwrite_x=1)
+        y *= self._inv_d
+        return blas.ztbsv(1, self._upper, y, lower=0, diag=1, overwrite_x=1)
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of (M + i*beta*K) y = rhs, in rhs's memory."""
+        y = self._sweep(rhs)
+        if self.z is not None:
+            scale = (y[0] + self._v * y[-1]) * self._inv_denominator
+            y = blas.zaxpy(self.z, y, a=-scale)
+        return y
 
 
 def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -60,11 +140,13 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     # SuperLU orders a periodic matrix, banded plus two corner blocks, by
     # minimum degree on A^T + A, the usual choice for a structurally symmetric
     # matrix: its solve is several times faster than with SuperLU's default
-    # COLAMD, at the same fill.  COLAMD now matters only on degree >= 2 Neumann
-    # meshes: MMD_AT_PLUS_A would solve them faster at the same fill, but
-    # their output is rounding-sensitive at dt = dx and the benchmark's
-    # riemann_steps degree-2 gate (1e-6 relative) pins its digits, which
-    # another ordering changes.
+    # COLAMD, at the same fill.  SuperLU factorizes only degree >= 2 meshes
+    # and the 2-node mesh, so MMD_AT_PLUS_A serves degree >= 2 periodic
+    # meshes.  COLAMD matters on degree >= 2 Neumann meshes: MMD_AT_PLUS_A
+    # would solve them faster at the same fill, but their output is
+    # rounding-sensitive at dt = dx and the benchmark's riemann_steps
+    # degree-2 gate (1e-6 relative) pins its digits, which another ordering
+    # changes.
     # The cause is the step size, not the degree: the stepping amplifies
     # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
     # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
@@ -77,20 +159,15 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
         # with no product by B.  The solve divides A by i*eps/tau, so the
         # matrix is M + i*beta*K and the right-hand side 2*M psi: the same
         # map, with less rounding bias.  On the oscillating lake to t = 4 the
-        # mass drifts by 7.7e-14 this way, by 2.8e-12 with A itself and by
-        # 8.2e-14 with SuperLU.  A Neumann matrix is tridiagonal and goes to
-        # LAPACK; a periodic one, and the 2-node mesh that scipy's zgttrf
+        # mass drifted by 7.7e-14 this way (with LAPACK's zgttrs, unchained),
+        # by 2.8e-12 with A itself and by 8.2e-14 with SuperLU; with chained
+        # steps it drifts by 1.3e-13 on the division-free solve, against
+        # 4.6e-13 on zgttrs.  Every mesh of more than 2 nodes, Neumann or
+        # periodic, goes to that solve; the 2-node mesh, which scipy's zgttrf
         # refuses, to SuperLU.
         beta = 0.25 * eps * tau
-        if mesh.topology != PERIODIC and mesh.num_nodes > 2:
-            dl, d, du, du2, ipiv, info = lapack.zgttrf(
-                (1j * beta) * K.diagonal(-1), mesh.mass + (1j * beta) * K.diagonal(),
-                (1j * beta) * K.diagonal(1))
-            if info != 0:
-                raise RuntimeError(f"Crank-Nicolson matrix for tau = {tau:.6g} is singular")
-
-            def solve(rhs: np.ndarray) -> np.ndarray:
-                return lapack.zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)[0]
+        if mesh.num_nodes > 2:
+            solve = _SymmetricTridiagonalSolve(mesh, beta)
         else:
             solve = spla.splu((sparse.diags(mesh.mass) + (1j * beta) * K).tocsc(),
                               permc_spec=ordering).solve
