@@ -685,13 +685,13 @@ class SnapshotWriters:
         slot = self._free.pop()
         self._tables[slot] = table
         w = min(self._workers, key=lambda w: len(w.pending))
+        w.pending[slot] = path
         try:
             w.conn.send((slot, path))
         except OSError:
             w.process.join(5)  # its process is ending: raise what ended it
             self._drain(w)
             raise
-        w.pending[slot] = path
 
     def close(self) -> None:
         while any(w.pending for w in self._workers):

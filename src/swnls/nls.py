@@ -25,16 +25,15 @@ rounding-level change of the output; its docstring says how.  Degree >= 2
 output is rounding-sensitive at the default step (see ``_crank_nicolson``),
 so those runs take full Strang steps and keep their bits.
 
-The factorization depends on the mesh.  Every degree-1 mesh steps in
-midpoint form (see ``_crank_nicolson``).  On more than 2 nodes, Neumann or
-periodic, its complex symmetric matrix is factorized as L D L^T by LAPACK's
-``zgttrf`` and solved with no division by two BLAS ``ztbsv`` sweeps, a
-periodic matrix's corners by a Sherman-Morrison correction (see
-``_SymmetricTridiagonalSolve``).  SuperLU factorizes the 2-node mesh, which
-scipy's ``zgttrf`` wrapper refuses, and every degree >= 2 matrix, in the
-plain Crank-Nicolson form.  SuperLU's column ordering depends on the mesh
-topology, ``MMD_AT_PLUS_A`` serving only degree >= 2 periodic meshes; the
-comment at the line that chooses it says why.
+The factorization depends on the mesh.  A degree-1 mesh of more than 2
+nodes, Neumann or periodic, steps in midpoint form (see ``_MidpointStep``):
+its complex symmetric matrix is factorized as L D L^T by LAPACK's ``zgttrf``
+and solved with no division by two BLAS ``ztbsv`` sweeps, a periodic
+matrix's corners by a Sherman-Morrison correction.  SuperLU factorizes every
+other matrix, in the plain Crank-Nicolson form: degree >= 2, and the 2-node
+mesh, which scipy's ``zgttrf`` wrapper refuses.  SuperLU's column ordering
+depends on the mesh topology; the comment at the line that chooses it says
+why.
 """
 from __future__ import annotations
 
@@ -53,9 +52,16 @@ from .mesh import PERIODIC, Mesh1D
 _TIME_SNAP = 1e-12
 
 
-class _SymmetricTridiagonalSolve:
-    """Solver of (M + i*beta*K) y = r on a degree-1 mesh of more than 2 nodes,
-    factorized here, once, and solved with no division.
+class _MidpointStep:
+    """Crank-Nicolson step psi -> psi' = (M + i*beta*K)^-1 (2*M psi) - psi on a
+    degree-1 mesh of more than 2 nodes, its matrix factorized here, once, and
+    solved with no division.
+
+    M is diagonal, so ``_crank_nicolson``'s B is 2i*(eps/tau)*M - A: A^-1 B psi
+    is a solve for twice the midpoint value, then the extrapolation, with no
+    product by B.  Dividing A by i*eps/tau keeps the map and cuts the rounding
+    bias: on the oscillating lake to t = 4 the mass drifted by 7.7e-14 so,
+    against 2.8e-12 with A itself (unchained, on LAPACK's zgttrs).
 
     The matrix is complex symmetric, and it factors as L D L^T with no
     pivoting: by induction every pivot keeps Im d_i >= beta/h, the CABS1 of
@@ -104,6 +110,7 @@ class _SymmetricTridiagonalSolve:
         self._lower = band[1:].reshape((2, n), order="F")
         self._upper = band[:-1].reshape((2, n), order="F")
         self._inv_d = np.divide(1.0, d, out=d)
+        self._twice_mass = 2.0 * mesh.mass
         self.z = None
         if periodic:
             u = np.zeros(n, dtype=complex)
@@ -121,63 +128,38 @@ class _SymmetricTridiagonalSolve:
         y *= self._inv_d
         return blas.ztbsv(1, self._upper, y, lower=0, diag=1, overwrite_x=1)
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution of (M + i*beta*K) y = rhs, in rhs's memory."""
-        y = self._sweep(rhs)
+    def __call__(self, psi: np.ndarray) -> np.ndarray:
+        """psi', in new memory."""
+        y = self._sweep(self._twice_mass * psi)
         if self.z is not None:
             scale = (y[0] + self._v * y[-1]) * self._inv_denominator
             y = blas.zaxpy(self.z, y, a=-scale)
-        return y
+        return np.subtract(y, psi, out=y)
 
 
 def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarray], np.ndarray]:
     """Crank-Nicolson update psi -> psi' of the linear dispersive subflow over tau.
 
     Solves A psi' = B psi with A = i*(eps/tau)*M - (eps^2/4)*K and
-    B = i*(eps/tau)*M + (eps^2/4)*K, the matrix A factorized here, once.
+    B = i*(eps/tau)*M + (eps^2/4)*K, factorized here, once (see ``_MidpointStep``).
     """
+    if mesh.degree == 1 and mesh.num_nodes > 2:
+        return _MidpointStep(mesh, 0.25 * eps * tau)
     K = mesh.stiffness
     # SuperLU orders a periodic matrix, banded plus two corner blocks, by
     # minimum degree on A^T + A, the usual choice for a structurally symmetric
     # matrix: its solve is several times faster than with SuperLU's default
-    # COLAMD, at the same fill.  SuperLU factorizes only degree >= 2 meshes
-    # and the 2-node mesh, so MMD_AT_PLUS_A serves degree >= 2 periodic
-    # meshes.  COLAMD matters on degree >= 2 Neumann meshes: MMD_AT_PLUS_A
-    # would solve them faster at the same fill, but their output is
-    # rounding-sensitive at dt = dx and the benchmark's riemann_steps
-    # degree-2 gate (1e-6 relative) pins its digits, which another ordering
-    # changes.
+    # COLAMD, at the same fill.  SuperLU factorizes only the plain form, on
+    # degree >= 2 meshes and the 2-node mesh.  COLAMD matters on degree >= 2
+    # Neumann meshes: MMD_AT_PLUS_A would solve them faster at the same fill,
+    # but their output is rounding-sensitive at dt = dx and the benchmark's
+    # riemann_steps degree-2 gate (1e-6 relative) pins its digits, which
+    # another ordering changes.
     # The cause is the step size, not the degree: the stepping amplifies
     # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
     # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
     # Once dt obeys a per-degree stability bound, this choice goes.
     ordering = "MMD_AT_PLUS_A" if mesh.topology == PERIODIC else "COLAMD"
-    if mesh.degree == 1:
-        # M is diagonal.  Since B = 2i*(eps/tau)*M - A, the step is
-        # psi' = A^-1 (2i*(eps/tau)*M psi) - psi: a solve for twice the
-        # midpoint value, then the extrapolation (the implicit midpoint rule),
-        # with no product by B.  The solve divides A by i*eps/tau, so the
-        # matrix is M + i*beta*K and the right-hand side 2*M psi: the same
-        # map, with less rounding bias.  On the oscillating lake to t = 4 the
-        # mass drifted by 7.7e-14 this way (with LAPACK's zgttrs, unchained),
-        # by 2.8e-12 with A itself and by 8.2e-14 with SuperLU; with chained
-        # steps it drifts by 1.3e-13 on the division-free solve, against
-        # 4.6e-13 on zgttrs.  Every mesh of more than 2 nodes, Neumann or
-        # periodic, goes to that solve; the 2-node mesh, which scipy's zgttrf
-        # refuses, to SuperLU.
-        beta = 0.25 * eps * tau
-        if mesh.num_nodes > 2:
-            solve = _SymmetricTridiagonalSolve(mesh, beta)
-        else:
-            solve = spla.splu((sparse.diags(mesh.mass) + (1j * beta) * K).tocsc(),
-                              permc_spec=ordering).solve
-        twice_mass = 2.0 * mesh.mass
-
-        def midpoint_step(psi: np.ndarray) -> np.ndarray:
-            out = solve(twice_mass * psi)
-            return np.subtract(out, psi, out=out)
-
-        return midpoint_step
     a = eps / tau
     c = 0.25 * eps * eps
     M = sparse.diags(mesh.mass)

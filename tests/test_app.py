@@ -748,6 +748,37 @@ def test_writer_failure_exits_2_and_leaves_nothing(tmp_path, monkeypatch, capsys
     assert (old / "snapshot_0002.csv").read_bytes() == b"x\n1\n"
 
 
+def test_writer_that_ends_before_its_table_is_sent_exits_2(tmp_path, monkeypatch, capsys):
+    # the writer chosen for the first snapshot is killed after write() has
+    # drained it, so sending it the slot fails: the run names the exit code
+    # and the file, and leaves nothing behind
+    doc = _pool_documents(tmp_path)[0]
+    monkeypatch.setattr(app, "_writer_count", lambda outputs: 2)
+    real_drain, killed = app.SnapshotWriters._drain, []
+
+    def drain(self, w):
+        real_drain(self, w)
+        if not killed:
+            w.process.kill()
+            w.process.join()
+            killed.append(w.process.exitcode)
+
+    monkeypatch.setattr(app.SnapshotWriters, "_drain", drain)
+    old = tmp_path / "old"
+    old.mkdir()
+    for out in (old, tmp_path / "new" / "out"):
+        killed.clear()
+        assert cli_main(["run", str(doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert killed == [-9]
+        assert err.startswith("error: snapshot writer process exited with code -9 while writing ")
+        assert os.path.join(out.name, ".swnls-staging-") in err and "snapshot_0000.csv" in err
+        assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["old", "dam_break_wet.json", "vacuum_generation.json"])
+    assert list(old.iterdir()) == []
+
+
 def test_interrupted_run_stops_its_writers(tmp_path, monkeypatch):
     from swnls import nls
     doc = _pool_documents(tmp_path)[0]

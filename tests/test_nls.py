@@ -257,15 +257,16 @@ def _ldlt_reference(m, beta, rhs):
                  id="neumann-2-COLAMD"),
     pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 1, NEUMANN), "ldlt", id="neumann-1-ldlt"),
     pytest.param(_sponge_mesh, "ldlt", id="sponge-1-ldlt"),
-    # but scipy's zgttrf refuses 2 unknowns
+    # but scipy's zgttrf refuses 2 unknowns: the 2-node mesh takes SuperLU's
+    # plain form, as degree >= 2 does
     pytest.param(lambda: build_mesh(-1.0, 1.0, 1, 1, NEUMANN), "COLAMD",
                  id="neumann-1-2nodes-COLAMD"),
 ])
 def test_dispersive_solve_column_ordering(mesh, solver):
-    # the dense solution to rounding, and bitwise, at degree 1, twice the
-    # midpoint value minus psi, from the L D L^T solve or, on 2 nodes, SuperLU
-    # with the topology's column ordering, or at degree >= 2 the digits of
-    # SuperLU's plain Crank-Nicolson solve; the systems are built apart from nls
+    # the dense solution to rounding, and bitwise, on a degree-1 mesh of more
+    # than 2 nodes, twice the midpoint value minus psi from the L D L^T solve,
+    # or elsewhere the digits of SuperLU's plain Crank-Nicolson solve with the
+    # topology's column ordering; the systems are built apart from nls
     m = mesh()
     eps, tau = 0.05, 0.01
     M = sparse.diags(m.mass)
@@ -284,9 +285,6 @@ def test_dispersive_solve_column_ordering(mesh, solver):
         twice_mid, ipiv = _ldlt_reference(m, beta, 2.0 * m.mass * psi)
         assert np.array_equal(ipiv, np.arange(1, m.num_nodes + 1))
         expected = twice_mid - psi
-    elif m.degree == 1:
-        mid = (M + (1j * beta) * m.stiffness).tocsc()
-        expected = spla.splu(mid, permc_spec=solver).solve(2.0 * m.mass * psi) - psi
     else:
         expected = spla.splu(A, permc_spec=solver).solve(rhs)
     assert np.array_equal(got, expected)
@@ -296,22 +294,23 @@ def test_dispersive_solve_column_ordering(mesh, solver):
 @given(topology=st.sampled_from([NEUMANN, PERIODIC]), nodes=st.integers(3, 64),
        log_ratio=st.floats(-4.0, 5.0), seed=st.integers(0, 2**32 - 1))
 def test_symmetric_tridiagonal_solve_matches_the_dense_solve(topology, nodes, log_ratio, seed):
-    # beta/h^2 from 1e-4 to 1e5.  zgttrf pivots on no row, and the solve
-    # agrees with the dense one to 1e-14 relative times the condition number
-    # of M + i*beta*K: two backward-stable solves differ by up to about
-    # cond * 1.1e-16, which reaches 1e-11 at beta/h^2 = 1e5 (against a
-    # refined solution, the dense solve's own error reached 6.5e-12)
+    # beta/h^2 from 1e-4 to 1e5.  zgttrf pivots on no row, and the midpoint
+    # step (M + i*beta*K)^-1 (2*M psi) - psi agrees with the dense solve's
+    # to 1e-14 relative times the condition number of M + i*beta*K: two
+    # backward-stable solves differ by up to about cond * 1.1e-16, which
+    # reaches 1e-11 at beta/h^2 = 1e5 (against a refined solution, the dense
+    # solve's own error reached 6.5e-12)
     from swnls import nls
     m = build_mesh(-1.0, 1.0, nodes - (topology == NEUMANN), 1, topology)
     assert m.num_nodes == nodes
     beta = 10.0 ** log_ratio * m.element_length ** 2
     T = (sparse.diags(m.mass) + (1j * beta) * m.stiffness).toarray()
     rng = np.random.default_rng(seed)
-    rhs = rng.normal(size=nodes) + 1j * rng.normal(size=nodes)
-    _, ipiv = _ldlt_reference(m, beta, rhs)
+    psi = rng.normal(size=nodes) + 1j * rng.normal(size=nodes)
+    _, ipiv = _ldlt_reference(m, beta, psi)
     assert np.array_equal(ipiv, np.arange(1, nodes + 1))
-    got = nls._SymmetricTridiagonalSolve(m, beta)(rhs.copy())
-    want = np.linalg.solve(T, rhs)
+    got = nls._MidpointStep(m, beta)(psi)
+    want = np.linalg.solve(T, 2.0 * m.mass * psi) - psi
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.cond(T) * np.linalg.norm(want)
 
 
@@ -322,20 +321,20 @@ def test_periodic_correction_vector_holds_no_subnormal(monkeypatch):
     # with them and 3.9 us with them set to 0, on a 2-vCPU x86-64 host
     from swnls import nls
     made = []
-    real_solve = nls._SymmetricTridiagonalSolve
+    real_step = nls._MidpointStep
 
-    def recording_solve(*args):
-        made.append(real_solve(*args))
+    def recording_step(*args):
+        made.append(real_step(*args))
         return made[-1]
 
-    monkeypatch.setattr(nls, "_SymmetricTridiagonalSolve", recording_solve)
+    monkeypatch.setattr(nls, "_MidpointStep", recording_step)
     sc = app.builtin_scenario("lake_at_rest_dry")
     m = sc.build_mesh()
     assert (m.topology, m.num_nodes) == (PERIODIC, 8000)
     Stepper(m, sc.g, sc.eps, sc.dt)
-    [solve] = made
-    assert np.count_nonzero(solve.z == 0.0) > 3500  # its flushed middle: 3559 entries
-    parts = solve.z.view(np.float64)
+    [step] = made
+    assert np.count_nonzero(step.z == 0.0) > 3500  # its flushed middle: 3559 entries
+    parts = step.z.view(np.float64)
     assert not np.any((parts != 0.0) & (np.abs(parts) < np.finfo(np.float64).tiny))
 
 
@@ -612,17 +611,18 @@ def test_run_aborts_when_one_part_of_one_node_is_non_finite(monkeypatch, part, v
 
 
 def _count_factorizations(monkeypatch) -> list:
+    """The name of each factorization made, "splu" or "zgttrf", in order."""
     factorizations = []
     real_splu = spla.splu
 
     real_zgttrf = lapack.zgttrf
 
     def counting_splu(*args, **kwargs):
-        factorizations.append(1)
+        factorizations.append("splu")
         return real_splu(*args, **kwargs)
 
     def counting_zgttrf(*args, **kwargs):
-        factorizations.append(1)
+        factorizations.append("zgttrf")
         return real_zgttrf(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -654,6 +654,28 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
         assert sum(tau != step_dt for tau, step_dt in taus) == shortened
         assert len(factorizations) == 1 + shortened
 
+
+@pytest.mark.parametrize("name, dx_over_eps, elements", [
+    # one Neumann element and two periodic ones: 2 nodes each, which scipy's
+    # zgttrf refuses, so SuperLU factorizes the plain Crank-Nicolson form
+    ("dam_break_wet", 80.0, 1),
+    ("lake_at_rest_wet", 40.0, 2),
+])
+def test_two_node_meshes_run_end_to_end(monkeypatch, name, dx_over_eps, elements):
+    factorizations = _count_factorizations(monkeypatch)
+    sc = app.builtin_scenario(name)
+    times = (0.0, 0.237, 0.5, 1.0)
+    sc = replace(sc, eps=0.05, discretization=DiscretizationSpec(dx_over_eps=dx_over_eps, dt=0.01),
+                 output=replace(sc.output, times=times))
+    reached = []
+    result = run(sc, lambda wave, hydro: reached.append(wave.time))
+    assert (result.mesh.num_elements, result.mesh.num_nodes) == (elements, 2)
+    assert reached == list(times)
+    # 24 steps to 0.237 and 27 to 0.5, each ending in a shortened step, then 50
+    assert result.steps_taken == 101
+    assert factorizations == ["splu"] * 3  # dt's and the two shortened steps'
+    mass0 = result.energies[0].mass
+    assert max(abs(e.mass - mass0) for e in result.energies) <= 1e-12 * mass0
 
 def _strang_loop(sc) -> tuple:
     """The run of a scenario as one strang_step per step: psi at each output
