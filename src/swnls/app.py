@@ -535,18 +535,19 @@ def reference_samples(scenario: Scenario, x: np.ndarray, t: float) -> ReferenceS
     return ReferenceSamples(h=nan.copy(), q=nan.copy(), eta=nan.copy())
 
 
-def _write_csv(path: str, header: str, table: np.ndarray) -> None:
+def _write_csv(path: str, header: str, table: np.ndarray,
+               formatter: csvtext.Formatter) -> None:
     """Write ``header`` and one row per row of the 2-D ``table``, every value
     as ``"%.17g"``.
 
-    Rows are formatted ``_EMIT_BLOCK_ROWS`` at a time by
-    ``csvtext.block_text``, which writes each value on its own, so the bytes
-    do not depend on the block size.
+    Rows are formatted ``_EMIT_BLOCK_ROWS`` at a time by ``formatter``, which
+    writes each value on its own, so the bytes do not depend on the block
+    size, and its work arrays serve every block and every later table.
     """
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(table), _EMIT_BLOCK_ROWS):
-            fh.write(csvtext.block_text(table[start:start + _EMIT_BLOCK_ROWS]))
+            fh.write(formatter.text(table[start:start + _EMIT_BLOCK_ROWS]))
 
 
 # Each sweep field (--field's choices, the first its default) and the prefix of
@@ -622,11 +623,13 @@ def _writer_count(outputs: int) -> int:
 
 
 def _writer_loop(conn, tables: np.ndarray) -> None:
-    """A writer process: write the table in each slot it is sent, and send
-    back the slot, or the exception that stopped it."""
+    """A writer process: write the table in each slot it is sent, all with one
+    formatter's work arrays, and send back the slot, or the exception that
+    stopped it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt stops the run, which kills us
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the run's handler, forked with us
     parent = os.getppid()
+    formatter = csvtext.Formatter()
     while True:
         if not conn.poll(1.0):
             if os.getppid() != parent:  # the run died without killing us
@@ -634,7 +637,7 @@ def _writer_loop(conn, tables: np.ndarray) -> None:
             continue
         slot, path = conn.recv()
         try:
-            _write_csv(path, SNAPSHOT_HEADER, tables[slot])
+            _write_csv(path, SNAPSHOT_HEADER, tables[slot], formatter)
         except Exception as err:
             conn.send(err)
             return
@@ -671,10 +674,11 @@ class SnapshotWriters:
         self._workers: list[_Writer] = []
         self._tables = None
         self._free: list[int] = []
+        self._formatter = csvtext.Formatter()  # writes in this process when count is 0
 
     def write(self, path: str, table: np.ndarray) -> None:
         if not self._count:
-            _write_csv(path, SNAPSHOT_HEADER, table)
+            _write_csv(path, SNAPSHOT_HEADER, table, self._formatter)
             return
         if self._tables is None:
             self._start(table.shape)
@@ -802,7 +806,8 @@ def run_and_write(scenario: Scenario, out_dir: str) -> nls.RunResult:
             fh.write(serialize_scenario(scenario) + "\n")
         _write_csv(os.path.join(staging, "diagnostics.csv"), DIAGNOSTICS_HEADER,
                    np.array([(t, rep.mass, rep.total, rep.fisher, rep.potential)
-                             for t, rep in zip(scenario.output.times, result.energies)]))
+                             for t, rep in zip(scenario.output.times, result.energies)]),
+                   csvtext.Formatter())
         writers.close()
         for name in os.listdir(staging):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
@@ -869,7 +874,7 @@ def sweep(scenario: Scenario, eps_list: list[float], *, norm: str, field_name: s
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "error_table.csv"),
-                   f"eps,error_{norm}_{field_name}", np.array(rows))
+                   f"eps,error_{norm}_{field_name}", np.array(rows), csvtext.Formatter())
     if order is None:
         print("no convergence order: errors at rounding level")
     else:
