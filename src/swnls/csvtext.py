@@ -342,9 +342,3 @@ class Formatter:
 def _percent_g(values: np.ndarray) -> list:
     """The values the numpy path leaves, each as ``"%.17g" % v`` in bytes."""
     return [("%.17g" % f).encode() for f in values.tolist()]
-
-
-def block_text(block: np.ndarray) -> str:
-    """The rows of the 2-D ``block``, each value as ``"%.17g" % v``, values
-    separated by ``,`` and every row ended by ``\\n``."""
-    return Formatter().text(block).tobytes().decode("ascii")

@@ -1,18 +1,22 @@
 """One-dimensional spectral element infrastructure.
 
 Gauss-Lobatto quadrature rules, uniform C0 meshes with Neumann or periodic
-topology, the diagonal (quadrature-lumped) mass vector and the sparse
-stiffness matrix.  Global nodes are ordered left to right with shared
-element-boundary nodes stored once, so the stiffness matrix is banded with
-bandwidth equal to the polynomial degree (plus two corner blocks in the
-periodic case).
+topology, the diagonal (quadrature-lumped) mass vector and the stiffness
+matrix.  Global nodes are ordered left to right with shared element-boundary
+nodes stored once, so the stiffness matrix is banded with bandwidth equal to
+the polynomial degree (plus two corner blocks in the periodic case).
+
+A mesh keeps the element stiffness matrix.  The global one is assembled as a
+scipy sparse matrix on first access of ``Mesh1D.stiffness``, for SuperLU and
+the tests; a degree-1 mesh gives its bands as numpy arrays, with the same
+bits, so that a degree-1 run never imports scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 from numpy.polynomial import legendre as npleg
 
 MAX_DEGREE = 16
@@ -71,6 +75,7 @@ class Mesh1D:
     with the left).  ``conn[e, i]`` maps element-local node i of element e
     to its global index, and ``weights[i]`` is its quadrature weight in every
     element: the Gauss-Lobatto weight scaled by half the element length.
+    ``k_loc`` is the element stiffness matrix, the same in every element.
     """
 
     a: float
@@ -81,7 +86,7 @@ class Mesh1D:
     weights: np.ndarray
     coords: np.ndarray
     mass: np.ndarray
-    stiffness: sparse.csr_matrix
+    k_loc: np.ndarray
     conn: np.ndarray
     element_length: float
     diff: np.ndarray
@@ -90,6 +95,37 @@ class Mesh1D:
     @property
     def num_nodes(self) -> int:
         return self.coords.size
+
+    @cached_property
+    def stiffness(self):
+        """The global stiffness matrix, a scipy CSR matrix assembled from
+        ``k_loc`` on first access and kept as long as the mesh."""
+        import scipy.sparse as sparse
+
+        k = self.degree
+        n = self.num_nodes
+        rows = np.repeat(self.conn, k + 1, axis=1).ravel()
+        cols = np.tile(self.conn, (1, k + 1)).ravel()
+        data = np.tile(self.k_loc.ravel(), self.num_elements)
+        return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+    def stiffness_bands(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """A degree-1 mesh of more than 2 nodes: the stiffness matrix's
+        diagonal, its first superdiagonal (equal to its first subdiagonal)
+        and its corner K[0, n-1] (0.0 on a Neumann mesh), with the bits of
+        ``stiffness``: each entry sums the same one or two element entries."""
+        if self.degree != 1 or self.num_nodes <= 2:
+            raise ValueError("stiffness bands are for degree-1 meshes of more than 2 nodes")
+        k = self.k_loc
+        diagonal = np.zeros(self.num_nodes)
+        diagonal[self.conn[:, 0]] += k[0, 0]
+        diagonal[self.conn[:, 1]] += k[1, 1]
+        off = np.full(self.num_nodes - 1, k[0, 1])
+        # the last periodic element joins node n-1 (local 0) to node 0 (local
+        # 1); a numpy float, as the sparse matrix's entry is, so that complex
+        # products with it are numpy's on every Python version
+        corner = k[1, 0] if self.topology == PERIODIC else 0.0
+        return diagonal, off, corner
 
 
 def build_mesh(a: float, b: float, num_elements: int, degree: int,
@@ -125,17 +161,13 @@ def build_mesh(a: float, b: float, num_elements: int, degree: int,
     D = lagrange_diff_matrix(nodes)
     k_loc = (2.0 / h_e) * (D.T @ (w[:, None] * D))
     k_loc = 0.5 * (k_loc + k_loc.T)  # exact symmetry
-    rows = np.repeat(conn, k + 1, axis=1).ravel()
-    cols = np.tile(conn, (1, k + 1)).ravel()
-    data = np.tile(k_loc.ravel(), M)
-    stiffness = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
     multiplicity = np.zeros(n)
     np.add.at(multiplicity, conn, 1.0)
 
     return Mesh1D(a=float(a), b=float(b), num_elements=M, degree=k,
                   topology=topology, weights=weights, coords=coords, mass=mass,
-                  stiffness=stiffness, conn=conn, element_length=h_e,
+                  k_loc=k_loc, conn=conn, element_length=h_e,
                   diff=D, node_multiplicity=multiplicity)
 
 

@@ -29,11 +29,13 @@ The factorization depends on the mesh.  A degree-1 mesh of more than 2
 nodes, Neumann or periodic, steps in midpoint form (see ``_MidpointStep``):
 its complex symmetric matrix is factorized as L D L^T by LAPACK's ``zgttrf``
 and solved with no division by two BLAS ``ztbsv`` sweeps, a periodic
-matrix's corners by a Sherman-Morrison correction.  SuperLU factorizes every
-other matrix, in the plain Crank-Nicolson form: degree >= 2, and the 2-node
-mesh, which scipy's ``zgttrf`` wrapper refuses.  SuperLU's column ordering
-depends on the mesh topology; the comment at the line that chooses it says
-why.
+matrix's corners by a Sherman-Morrison correction, all three routines called
+through ``lapack`` with no scipy.  SuperLU factorizes every other matrix, in
+the plain Crank-Nicolson form: degree >= 2, and the 2-node mesh, which keeps
+the bits of that form (raw LAPACK would factorize its 2 unknowns too).
+``scipy.sparse`` and SuperLU are imported only there.  SuperLU's column
+ordering depends on the mesh topology; the comment at the line that chooses
+it says why.
 """
 from __future__ import annotations
 
@@ -41,11 +43,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
 
-from . import diagnostics
+from . import diagnostics, lapack
 from .madelung import HydroState, WaveField, recover
 from .mesh import PERIODIC, Mesh1D
 
@@ -73,7 +72,9 @@ class _MidpointStep:
     interleaved buffer [., 1, l_0, 1, l_1, ..., 1, .] holds both unit
     bidiagonals in BLAS band storage: its slices [1:] and [:-1], read as
     (2, n) in Fortran order, are the lower and the upper band.  A solve is
-    two BLAS ztbsv sweeps around a product by the reciprocal pivots.
+    two BLAS ztbsv sweeps around a product by the reciprocal pivots, in one
+    right-hand-side buffer the step owns, through calls bound to it once
+    (``lapack.Library.bind``); only the closing subtraction makes new memory.
 
     A periodic matrix is this tridiagonal T plus two corners c.  With the
     shift gamma = -d_0, it is T' + u v^T for u = (gamma, 0, ..., 0, c) and
@@ -88,17 +89,18 @@ class _MidpointStep:
     """
 
     def __init__(self, mesh: Mesh1D, beta: float):
-        K = mesh.stiffness
-        d = mesh.mass + (1j * beta) * K.diagonal()
-        off = (1j * beta) * K.diagonal(1)
+        diagonal, off, corner = mesh.stiffness_bands()
+        d = mesh.mass + (1j * beta) * diagonal
+        off = (1j * beta) * off
         n = d.size
         periodic = mesh.topology == PERIODIC
         if periodic:
-            corner = (1j * beta) * K[0, n - 1]
+            corner = (1j * beta) * corner
             gamma = -d[0]
             d[0] -= gamma
             d[-1] -= corner * corner / gamma
-        dl, d, _, _, ipiv, info = lapack.zgttrf(off, d, off, overwrite_dl=1, overwrite_d=1)
+        library = lapack.LIBRARY
+        ipiv, info = library.zgttrf(off, d, off.copy())
         if info != 0:
             raise RuntimeError(f"Crank-Nicolson matrix M + i*beta*K for beta = {beta:.6g} "
                                "is singular")
@@ -106,35 +108,42 @@ class _MidpointStep:
             raise RuntimeError(f"Crank-Nicolson matrix M + i*beta*K for beta = {beta:.6g}: zgttrf "
                                "interchanged rows of a matrix that needs no pivoting")
         band = np.ones(2 * n + 1, dtype=complex)
-        band[2:-1:2] = dl
-        self._lower = band[1:].reshape((2, n), order="F")
-        self._upper = band[:-1].reshape((2, n), order="F")
+        band[2:-1:2] = off
         self._inv_d = np.divide(1.0, d, out=d)
         self._twice_mass = 2.0 * mesh.mass
+        self._rhs = np.empty(n, dtype=complex)
+        self._lower_sweep, self._upper_sweep = (
+            library.bind(library.ztbsv, uplo, b"N", b"U", n, 1, part.reshape((2, n), order="F"),
+                         2, self._rhs, 1)
+            for uplo, part in ((b"L", band[1:]), (b"U", band[:-1])))
         self.z = None
         if periodic:
-            u = np.zeros(n, dtype=complex)
-            u[0], u[-1] = gamma, corner
-            z = self._sweep(u)
+            self._rhs[:] = 0.0
+            self._rhs[0], self._rhs[-1] = gamma, corner
+            self._solve()
+            z = self._rhs.copy()
             parts = z.view(np.float64)
             parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
             self.z = z
             self._v = corner / gamma
             self._inv_denominator = 1.0 / (1.0 + z[0] + self._v * z[-1])
+            self._minus_scale = np.zeros(1, dtype=complex)
+            self._correct = library.bind(library.zaxpy, n, self._minus_scale, z, 1, self._rhs, 1)
 
-    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        """The factorized tridiagonal matrix's inverse times rhs, in rhs's memory."""
-        y = blas.ztbsv(1, self._lower, rhs, lower=1, diag=1, overwrite_x=1)
-        y *= self._inv_d
-        return blas.ztbsv(1, self._upper, y, lower=0, diag=1, overwrite_x=1)
+    def _solve(self) -> None:
+        """The factorized tridiagonal matrix's inverse times the buffer, in its memory."""
+        self._lower_sweep()
+        self._rhs *= self._inv_d
+        self._upper_sweep()
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         """psi', in new memory."""
-        y = self._sweep(self._twice_mass * psi)
+        y = np.multiply(self._twice_mass, psi, out=self._rhs)
+        self._solve()
         if self.z is not None:
-            scale = (y[0] + self._v * y[-1]) * self._inv_denominator
-            y = blas.zaxpy(self.z, y, a=-scale)
-        return np.subtract(y, psi, out=y)
+            self._minus_scale[0] = -((y[0] + self._v * y[-1]) * self._inv_denominator)
+            self._correct()
+        return np.subtract(y, psi)
 
 
 def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -145,6 +154,9 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     """
     if mesh.degree == 1 and mesh.num_nodes > 2:
         return _MidpointStep(mesh, 0.25 * eps * tau)
+    import scipy.sparse as sparse
+    import scipy.sparse.linalg as spla
+
     K = mesh.stiffness
     # SuperLU orders a periodic matrix, banded plus two corner blocks, by
     # minimum degree on A^T + A, the usual choice for a structurally symmetric

@@ -1,4 +1,7 @@
-"""csvtext.block_text against Python's own "%.17g", value by value."""
+"""csvtext.Formatter's CSV text against Python's own "%.17g", value by value.
+
+The tests read a block's text as ``Formatter().text(block).tobytes().decode("ascii")``
+(``_text``), a fresh formatter per block, unless they test its reuse."""
 import json
 import math
 import sys
@@ -12,6 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from swnls import app, csvtext
+
+
+def _text(block: np.ndarray) -> str:
+    """The block's CSV text from a fresh formatter."""
+    return csvtext.Formatter().text(block).tobytes().decode("ascii")
 
 
 def _row_text(block: np.ndarray) -> str:
@@ -85,7 +93,7 @@ def test_no_fixed_notation_value_rounds_up_to_a_power_of_ten():
 def test_boundary_values_match_percent_g(cols):
     values = np.array(BOUNDARY_VALUES)
     block = np.resize(values, (-(-values.size // cols), cols))
-    assert csvtext.block_text(block) == _row_text(block)
+    assert _text(block) == _row_text(block)
 
 
 _shapes = st.tuples(st.integers(1, 30), st.integers(1, 12))
@@ -94,14 +102,14 @@ _shapes = st.tuples(st.integers(1, 30), st.integers(1, 12))
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, _shapes, elements=st.floats()))
 def test_floats_match_percent_g(block):
-    assert csvtext.block_text(block) == _row_text(block)
+    assert _text(block) == _row_text(block)
 
 
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.uint64, _shapes, elements=st.integers(0, 2**64 - 1)))
 def test_bit_patterns_match_percent_g(bits):
     block = bits.view(np.float64)
-    assert csvtext.block_text(block) == _row_text(block)
+    assert _text(block) == _row_text(block)
 
 
 # short decimals, such as 0.00125 or 3.5e16: trailing zeros, integers, points
@@ -112,7 +120,7 @@ _decimals = st.builds(lambda m, k: float(f"{m}e{k}"),
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, _shapes, elements=_decimals))
 def test_short_decimals_match_percent_g(block):
-    assert csvtext.block_text(block) == _row_text(block)
+    assert _text(block) == _row_text(block)
 
 
 def test_formatter_reuses_its_arrays_across_block_shapes():
@@ -152,7 +160,7 @@ def test_nan_inf_and_subnormals_take_percent_g(monkeypatch):
     special = [math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                math.nextafter(sys.float_info.min, 0.0)]
     block = np.array([special + [1.0, 0.0, -2.5e-300, 1e300]])
-    assert csvtext.block_text(block) == _row_text(block)
+    assert _text(block) == _row_text(block)
     assert np.array_equal(sent, special, equal_nan=True)
 
 
@@ -165,7 +173,7 @@ def test_scientific_values_rarely_take_percent_g(monkeypatch):
     ties = [v for v in TIES if v < 1e-6]
     block = np.concatenate([values, ties]).reshape(-1, 1)
     sent = _sent_to_percent_g(monkeypatch)
-    assert csvtext.block_text(block) == _row_text(block)
+    assert _text(block) == _row_text(block)
     assert len(sent) <= 1e-3 * values.size + len(ties)
     assert set(ties) <= set(sent)
     assert all(_near_a_tie(v) for v in sent)

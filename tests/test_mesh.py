@@ -112,6 +112,34 @@ def test_stiffness_properties(k, topology):
     assert m.mass.min() > 0.0
 
 
+@pytest.mark.parametrize("elements, topology", [(3, PERIODIC), (40, PERIODIC), (2, NEUMANN),
+                                                (41, NEUMANN)])
+def test_stiffness_bands_have_the_bits_of_the_assembled_matrix(elements, topology):
+    m = build_mesh(-1.5, 2.5, elements, 1, topology)
+    diagonal, off, corner = m.stiffness_bands()
+    K = m.stiffness
+    n = m.num_nodes
+    assert np.array_equal(diagonal, K.diagonal()) and np.array_equal(off, K.diagonal(1))
+    assert np.array_equal(off, K.diagonal(-1))
+    assert corner == K[0, n - 1] == K[n - 1, 0]
+    assert (corner != 0.0) == (topology == PERIODIC)
+    # nothing else: the bands hold every entry of K
+    assert K.nnz == n + 2 * (n - 1) + 2 * (topology == PERIODIC)
+
+
+@pytest.mark.parametrize("mesh", [lambda: build_mesh(-1.0, 1.0, 4, 2, NEUMANN),
+                                  lambda: build_mesh(-1.0, 1.0, 1, 1, NEUMANN),
+                                  lambda: build_mesh(-1.0, 1.0, 2, 1, PERIODIC)])
+def test_stiffness_bands_refuse_other_meshes(mesh):
+    with pytest.raises(ValueError, match="degree-1 meshes of more than 2 nodes"):
+        mesh().stiffness_bands()
+
+
+def test_stiffness_is_assembled_once_per_mesh():
+    m = build_mesh(-1.0, 1.0, 6, 2, PERIODIC)
+    assert m.stiffness is m.stiffness
+
+
 def test_inner_product_examples():
     m = build_mesh(-2.0, 2.0, 4, 1, NEUMANN)
     ones = np.ones(5)

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swnls import app
+from swnls import lapack as swnls_lapack
 from swnls.app import DiscretizationSpec
 from swnls.madelung import WaveField
 from swnls.mesh import NEUMANN, PERIODIC, build_mesh
@@ -257,8 +258,8 @@ def _ldlt_reference(m, beta, rhs):
                  id="neumann-2-COLAMD"),
     pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 1, NEUMANN), "ldlt", id="neumann-1-ldlt"),
     pytest.param(_sponge_mesh, "ldlt", id="sponge-1-ldlt"),
-    # but scipy's zgttrf refuses 2 unknowns: the 2-node mesh takes SuperLU's
-    # plain form, as degree >= 2 does
+    # but the 2-node mesh keeps the bits of SuperLU's plain form, as degree
+    # >= 2 does
     pytest.param(lambda: build_mesh(-1.0, 1.0, 1, 1, NEUMANN), "COLAMD",
                  id="neumann-1-2nodes-COLAMD"),
 ])
@@ -344,12 +345,13 @@ def test_periodic_correction_vector_holds_no_subnormal(monkeypatch):
 ])
 def test_symmetric_tridiagonal_solve_refuses_a_pivoted_or_singular_factorization(
         monkeypatch, pivots, info, message):
-    real_zgttrf = lapack.zgttrf
+    real_zgttrf = swnls_lapack.Library.zgttrf
 
     def zgttrf(*args, **kwargs):
-        return real_zgttrf(*args, **kwargs)[:4] + (np.array(pivots, dtype=np.int32), info)
+        real_zgttrf(*args, **kwargs)
+        return np.array(pivots, dtype=np.int32), info
 
-    monkeypatch.setattr(lapack, "zgttrf", zgttrf)
+    monkeypatch.setattr(swnls_lapack.Library, "zgttrf", zgttrf)
     m = build_mesh(-1.0, 1.0, 5, 1, PERIODIC)
     with pytest.raises(RuntimeError, match=message):
         Stepper(m, g=1.0, eps=0.1, dt=0.01)
@@ -614,8 +616,7 @@ def _count_factorizations(monkeypatch) -> list:
     """The name of each factorization made, "splu" or "zgttrf", in order."""
     factorizations = []
     real_splu = spla.splu
-
-    real_zgttrf = lapack.zgttrf
+    real_zgttrf = swnls_lapack.Library.zgttrf
 
     def counting_splu(*args, **kwargs):
         factorizations.append("splu")
@@ -626,7 +627,7 @@ def _count_factorizations(monkeypatch) -> list:
         return real_zgttrf(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    monkeypatch.setattr(lapack, "zgttrf", counting_zgttrf)
+    monkeypatch.setattr(swnls_lapack.Library, "zgttrf", counting_zgttrf)
     return factorizations
 
 
@@ -656,8 +657,8 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
 
 
 @pytest.mark.parametrize("name, dx_over_eps, elements", [
-    # one Neumann element and two periodic ones: 2 nodes each, which scipy's
-    # zgttrf refuses, so SuperLU factorizes the plain Crank-Nicolson form
+    # one Neumann element and two periodic ones: 2 nodes each, which keep
+    # the bits of SuperLU's plain Crank-Nicolson form, so SuperLU factorizes them
     ("dam_break_wet", 80.0, 1),
     ("lake_at_rest_wet", 40.0, 2),
 ])
