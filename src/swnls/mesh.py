@@ -7,9 +7,9 @@ nodes stored once, so the stiffness matrix is banded with bandwidth equal to
 the polynomial degree (plus two corner blocks in the periodic case).
 
 A mesh keeps the element stiffness matrix.  The global one is assembled as a
-scipy sparse matrix on first access of ``Mesh1D.stiffness``, for SuperLU and
-the tests; a degree-1 mesh gives its bands as numpy arrays, with the same
-bits, so that a degree-1 run never imports scipy.
+scipy sparse matrix on first access of ``Mesh1D.stiffness``, for SuperLU on
+degree >= 2 meshes and for the tests; a degree-1 mesh gives its bands as
+numpy arrays, with the same bits, so that a degree-1 run never imports scipy.
 """
 from __future__ import annotations
 
@@ -110,12 +110,13 @@ class Mesh1D:
         return sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
     def stiffness_bands(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """A degree-1 mesh of more than 2 nodes: the stiffness matrix's
-        diagonal, its first superdiagonal (equal to its first subdiagonal)
-        and its corner K[0, n-1] (0.0 on a Neumann mesh), with the bits of
-        ``stiffness``: each entry sums the same one or two element entries."""
-        if self.degree != 1 or self.num_nodes <= 2:
-            raise ValueError("stiffness bands are for degree-1 meshes of more than 2 nodes")
+        """A degree-1 mesh: the stiffness matrix's diagonal, first superdiagonal
+        (equal to its first subdiagonal) and corner K[0, n-1] (0.0 on a Neumann
+        mesh), with the bits of ``stiffness``: each entry sums the same one or
+        two element entries, and at n = 2 K[0, 1] is the off-diagonal plus the
+        corner."""
+        if self.degree != 1:
+            raise ValueError("stiffness bands are for degree-1 meshes")
         k = self.k_loc
         diagonal = np.zeros(self.num_nodes)
         diagonal[self.conn[:, 0]] += k[0, 0]

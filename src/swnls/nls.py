@@ -21,21 +21,20 @@ rotation over their summed duration (McLachlan & Quispel, Acta Numerica 11,
 2002).  A sponge's damping shrinks the modulus between them, and the merged
 half-step accounts for that exactly (see ``potential_half_step``).  ``run``
 takes that form on every degree-1 mesh, which halves the potential steps at a
-rounding-level change of the output; its docstring says how.  Degree >= 2
-output is rounding-sensitive at the default step (see ``_crank_nicolson``),
-so those runs take full Strang steps and keep their bits.
+rounding-level change of the output; its docstring says how.
 
-The factorization depends on the mesh.  A degree-1 mesh of more than 2
-nodes, Neumann or periodic, steps in midpoint form (see ``_MidpointStep``):
-its complex symmetric matrix is factorized as L D L^T by LAPACK's ``zgttrf``
-and solved with no division by two BLAS ``ztbsv`` sweeps, a periodic
-matrix's corners by a Sherman-Morrison correction, all three routines called
-through ``lapack`` with no scipy.  SuperLU factorizes every other matrix, in
-the plain Crank-Nicolson form: degree >= 2, and the 2-node mesh, which keeps
-the bits of that form (raw LAPACK would factorize its 2 unknowns too).
-``scipy.sparse`` and SuperLU are imported only there.  SuperLU's column
-ordering depends on the mesh topology; the comment at the line that chooses
-it says why.
+A degree-1 mesh, Neumann or periodic, also steps in midpoint form (see
+``_MidpointStep``): its complex symmetric matrix is factorized as L D L^T by
+LAPACK's ``zgttrf`` and solved with no division by two BLAS ``ztbsv``
+sweeps, a periodic matrix's corners by a Sherman-Morrison correction, all
+three routines called through ``lapack`` with no scipy.  Degree >= 2 runs
+take full Strang steps, factorized by SuperLU in the plain Crank-Nicolson
+form, the only place ``scipy.sparse`` and SuperLU are imported: their output
+at the default step amplifies any change to the order of the arithmetic far
+past rounding (README, "Validity regime"), and the benchmark's degree-2 gate
+pins its digits.  Both forks test ``mesh.degree == 1`` for that reason.
+SuperLU's column ordering depends on the mesh topology; the comment at the
+line that chooses it says why.
 """
 from __future__ import annotations
 
@@ -53,8 +52,8 @@ _TIME_SNAP = 1e-12
 
 class _MidpointStep:
     """Crank-Nicolson step psi -> psi' = (M + i*beta*K)^-1 (2*M psi) - psi on a
-    degree-1 mesh of more than 2 nodes, its matrix factorized here, once, and
-    solved with no division.
+    degree-1 mesh, its matrix factorized here, once, and solved with no
+    division.
 
     M is diagonal, so ``_crank_nicolson``'s B is 2i*(eps/tau)*M - A: A^-1 B psi
     is a solve for twice the midpoint value, then the extrapolation, with no
@@ -81,11 +80,11 @@ class _MidpointStep:
     v = (1, 0, ..., 0, c/gamma), T' being T with d_0 - gamma and
     d_{n-1} - c^2/gamma; Sherman-Morrison then gives y = T'^-1 r - z (v^T
     T'^-1 r) / (1 + v^T z) with z = T'^-1 u (Numerical Recipes, section 2.7,
-    cyclic tridiagonal systems).  z decays geometrically from both ends of
-    the mesh, and its parts below the smallest normal float are set to 0: at
-    8000 nodes 3566 of its entries have a subnormal part, and the update
-    y -= s*z (BLAS zaxpy) took 154 us with them and 3.9 us without, on a
-    2-vCPU x86-64 host.
+    cyclic tridiagonal systems), exactly so at n = 2 too, where c adds to the
+    off-diagonal entry.  z decays geometrically from both ends of the mesh,
+    and its parts below the smallest normal float are set to 0: at 8000 nodes
+    3566 of its entries have a subnormal part, and the update y -= s*z (BLAS
+    zaxpy) took 154 us with them and 3.9 us without, on a 2-vCPU x86-64 host.
     """
 
     def __init__(self, mesh: Mesh1D, beta: float):
@@ -152,7 +151,7 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     Solves A psi' = B psi with A = i*(eps/tau)*M - (eps^2/4)*K and
     B = i*(eps/tau)*M + (eps^2/4)*K, factorized here, once (see ``_MidpointStep``).
     """
-    if mesh.degree == 1 and mesh.num_nodes > 2:
+    if mesh.degree == 1:  # the module docstring says why the degree decides
         return _MidpointStep(mesh, 0.25 * eps * tau)
     import scipy.sparse as sparse
     import scipy.sparse.linalg as spla
@@ -161,12 +160,11 @@ def _crank_nicolson(mesh: Mesh1D, eps: float, tau: float) -> Callable[[np.ndarra
     # SuperLU orders a periodic matrix, banded plus two corner blocks, by
     # minimum degree on A^T + A, the usual choice for a structurally symmetric
     # matrix: its solve is several times faster than with SuperLU's default
-    # COLAMD, at the same fill.  SuperLU factorizes only the plain form, on
-    # degree >= 2 meshes and the 2-node mesh.  COLAMD matters on degree >= 2
-    # Neumann meshes: MMD_AT_PLUS_A would solve them faster at the same fill,
-    # but their output is rounding-sensitive at dt = dx and the benchmark's
-    # riemann_steps degree-2 gate (1e-6 relative) pins its digits, which
-    # another ordering changes.
+    # COLAMD, at the same fill.  COLAMD matters on Neumann meshes:
+    # MMD_AT_PLUS_A would solve them faster at the same fill, but their output
+    # is rounding-sensitive at dt = dx and the benchmark's riemann_steps
+    # degree-2 gate (1e-6 relative) pins its digits, which another ordering
+    # changes.
     # The cause is the step size, not the degree: the stepping amplifies
     # rounding once Q = dt^2 * g * h_max * lambda_max / 4 exceeds 1, and dt = dx
     # gives Q = 6 at degree 2 on a depth-1 state (README, "Validity regime").
@@ -298,9 +296,8 @@ def run(scenario,
     degree-1 run chains its steps: each defers its closing potential
     half-step, which the next step's leading half-step pays, so the two
     merge into one, and the half-step still owed is paid before each
-    snapshot.  Degree >= 2 runs take full Strang steps, because their output
-    at the default step amplifies any change to the order of the arithmetic
-    far past rounding (README, "Validity regime").
+    snapshot.  Degree >= 2 runs take full Strang steps; the module docstring
+    says why.
     """
     mesh = scenario.build_mesh()
     b = scenario.bathymetry_values(mesh.coords)

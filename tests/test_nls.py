@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -209,20 +209,27 @@ def _sponge_mesh():
     return m
 
 
+# scipy's own zgttrf; its f2py wrapper, scipy.linalg.lapack.zgttrf, refuses n = 2
+SCIPY_LAPACK = swnls_lapack._scipy_cython()
+
+
 def _ldlt_reference(m, beta, rhs):
-    """(M + i*beta*K)^-1 rhs on a degree-1 mesh of more than 2 nodes, with
-    zgttrf's pivot indices: L D L^T by BLAS sweeps over band arrays built
-    here, and for a periodic matrix the Sherman-Morrison correction for its
-    corners after the shift gamma = -d_0, the corrector's subnormal entries
-    set to 0."""
+    """(M + i*beta*K)^-1 rhs on a degree-1 mesh, with zgttrf's pivot indices:
+    L D L^T by BLAS sweeps over band arrays built here, and for a periodic
+    matrix the Sherman-Morrison correction for its corners after the shift
+    gamma = -d_0, the corrector's subnormal entries set to 0."""
     n = m.num_nodes
     T = sparse.diags(m.mass) + (1j * beta) * m.stiffness
     diag, off = T.diagonal(), T.diagonal(1)
     if m.topology == PERIODIC:
         gamma, corner = -diag[0], T[0, n - 1]
+        if n == 2:
+            # T[0, 1] sums the off-diagonal and the corner: split it by element
+            off, corner = (1j * beta) * m.k_loc[0, 1:], (1j * beta) * m.k_loc[1, 0]
         diag[0] -= gamma
         diag[-1] -= corner * corner / gamma
-    multipliers, pivots, _, _, ipiv, info = lapack.zgttrf(off, diag, off)
+    multipliers, pivots = off.copy(), diag
+    ipiv, info = SCIPY_LAPACK.zgttrf(multipliers, pivots, off.copy())
     assert info == 0
     lower = np.asfortranarray([np.ones(n), np.append(multipliers, 0.0)])
     upper = np.asfortranarray([np.insert(multipliers, 0, 0.0), np.ones(n)])
@@ -245,7 +252,7 @@ def _ldlt_reference(m, beta, rhs):
 
 
 @pytest.mark.parametrize("mesh, solver", [
-    # every degree-1 mesh of more than 2 nodes, periodic or Neumann (sponge
+    # every degree-1 mesh, periodic or Neumann (sponge meshes and the 2-node
     # meshes included), goes to the symmetric tridiagonal solve
     pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 1, PERIODIC), "ldlt", id="periodic-1-ldlt"),
     pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 2, PERIODIC), "MMD_AT_PLUS_A",
@@ -258,16 +265,16 @@ def _ldlt_reference(m, beta, rhs):
                  id="neumann-2-COLAMD"),
     pytest.param(lambda: build_mesh(-1.0, 1.0, 24, 1, NEUMANN), "ldlt", id="neumann-1-ldlt"),
     pytest.param(_sponge_mesh, "ldlt", id="sponge-1-ldlt"),
-    # but the 2-node mesh keeps the bits of SuperLU's plain form, as degree
-    # >= 2 does
-    pytest.param(lambda: build_mesh(-1.0, 1.0, 1, 1, NEUMANN), "COLAMD",
-                 id="neumann-1-2nodes-COLAMD"),
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 1, 1, NEUMANN), "ldlt",
+                 id="neumann-1-2nodes-ldlt"),
+    pytest.param(lambda: build_mesh(-1.0, 1.0, 2, 1, PERIODIC), "ldlt",
+                 id="periodic-1-2nodes-ldlt"),
 ])
 def test_dispersive_solve_column_ordering(mesh, solver):
-    # the dense solution to rounding, and bitwise, on a degree-1 mesh of more
-    # than 2 nodes, twice the midpoint value minus psi from the L D L^T solve,
-    # or elsewhere the digits of SuperLU's plain Crank-Nicolson solve with the
-    # topology's column ordering; the systems are built apart from nls
+    # the dense solution to rounding, and bitwise, on a degree-1 mesh, twice
+    # the midpoint value minus psi from the L D L^T solve, or at degree >= 2
+    # the digits of SuperLU's plain Crank-Nicolson solve with the topology's
+    # column ordering; the systems are built apart from nls
     m = mesh()
     eps, tau = 0.05, 0.01
     M = sparse.diags(m.mass)
@@ -292,8 +299,10 @@ def test_dispersive_solve_column_ordering(mesh, solver):
 
 
 @settings(max_examples=200, deadline=None)
-@given(topology=st.sampled_from([NEUMANN, PERIODIC]), nodes=st.integers(3, 64),
+@given(topology=st.sampled_from([NEUMANN, PERIODIC]), nodes=st.integers(2, 64),
        log_ratio=st.floats(-4.0, 5.0), seed=st.integers(0, 2**32 - 1))
+@example(topology=NEUMANN, nodes=2, log_ratio=5.0, seed=0)
+@example(topology=PERIODIC, nodes=2, log_ratio=5.0, seed=0)
 def test_symmetric_tridiagonal_solve_matches_the_dense_solve(topology, nodes, log_ratio, seed):
     # beta/h^2 from 1e-4 to 1e5.  zgttrf pivots on no row, and the midpoint
     # step (M + i*beta*K)^-1 (2*M psi) - psi agrees with the dense solve's
@@ -657,8 +666,8 @@ def test_run_keeps_only_the_dt_operator(monkeypatch):
 
 
 @pytest.mark.parametrize("name, dx_over_eps, elements", [
-    # one Neumann element and two periodic ones: 2 nodes each, which keep
-    # the bits of SuperLU's plain Crank-Nicolson form, so SuperLU factorizes them
+    # one Neumann element and two periodic ones: 2 nodes each, factorized
+    # by zgttrf as every degree-1 mesh is
     ("dam_break_wet", 80.0, 1),
     ("lake_at_rest_wet", 40.0, 2),
 ])
@@ -674,7 +683,7 @@ def test_two_node_meshes_run_end_to_end(monkeypatch, name, dx_over_eps, elements
     assert reached == list(times)
     # 24 steps to 0.237 and 27 to 0.5, each ending in a shortened step, then 50
     assert result.steps_taken == 101
-    assert factorizations == ["splu"] * 3  # dt's and the two shortened steps'
+    assert factorizations == ["zgttrf"] * 3  # dt's and the two shortened steps'
     mass0 = result.energies[0].mass
     assert max(abs(e.mass - mass0) for e in result.energies) <= 1e-12 * mass0
 
